@@ -241,8 +241,11 @@ def reduced_to_json(rf) -> dict:
 
 def _read_spec(args) -> ProblemSpec:
     if args.input and args.input != "-":
-        with open(args.input) as fh:
-            text = fh.read()
+        try:
+            with open(args.input) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise InputError(f"cannot read {args.input}: {exc.strerror or exc}")
     else:
         text = sys.stdin.read()
     return parse_vectors(text, label=args.input)

@@ -155,7 +155,8 @@ def cross_check(X, lo: Vec, hi: Vec, seed: int = 0) -> CountReport:
     """Run all three engines on every lattice point of the box.
 
     Also spot-checks the reduced generating function against the original
-    product at five seeded generic points before counting.
+    product at five seeded generic points before counting; the closed form
+    is built from that same reduction.
     """
     X = [tuple(a) for a in X]
     lo, hi = tuple(lo), tuple(hi)
@@ -185,7 +186,7 @@ def cross_check(X, lo: Vec, hi: Vec, seed: int = 0) -> CountReport:
     report.timings["recursion"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cf = closed_form(X)
+    cf = closed_form(X, rf)
     closed = eval_closed_box(cf, lo, hi)
     report.timings["closed"] = time.perf_counter() - t0
 

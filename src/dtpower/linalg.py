@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 Vec = tuple[int, ...]
@@ -159,6 +160,40 @@ def orth_complement(basis, i: int) -> Vec:
     v = [int(f * m) for f in w]
     g = gcd(*v)
     return tuple(c // g for c in v)
+
+
+@lru_cache(maxsize=4096)
+def det_adj(basis: tuple[Vec, ...]):
+    """(d, adj) for the square matrix B with the given columns, or None when
+    B is singular.
+
+    d = |det B| > 0 and adj[i] / d is row i of B^{-1}: lambda_i =
+    <adj[i], u> / d solves sum(lambda_j * basis[j]) == u.  Row adj[i] is
+    orthogonal to every column but basis[i] and pairs with it to d.  Cached,
+    because the bases of a toric reduction repeat across its terms.
+    """
+    s = len(basis)
+    if any(len(b) != s for b in basis):
+        raise ValueError(f"expected {s} basis vectors of dimension {s}")
+    rows = [[Fraction(b[k]) for b in basis] + [Fraction(int(k == i)) for i in range(s)]
+            for k in range(s)]
+    det = Fraction(1)
+    for col in range(s):
+        piv = next((i for i in range(col, s) if rows[i][col] != 0), None)
+        if piv is None:
+            return None
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        pv = rows[col][col]
+        det *= pv
+        rows[col] = [x / pv for x in rows[col]]
+        for i in range(s):
+            if i != col and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    d = abs(det)
+    return int(d), tuple(tuple(int(x * d) for x in row[s:]) for row in rows)
 
 
 def pointedness_certificate(X):

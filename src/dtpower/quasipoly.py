@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
-from math import ceil, factorial, floor
+from math import ceil, factorial, floor, gcd
 
 from .expalg import ExpRatTerm
-from .linalg import Vec, dot, orth_complement, rank, scale, solve_square, vadd, vsub
-from .toric import toric_reduce
+from .linalg import Vec, det_adj, dot, scale, vadd, vsub
+from .toric import ReducedForm, toric_reduce
 
 
 @dataclass
@@ -108,42 +107,17 @@ class ClosedForm:
     pieces: tuple[ConePiece, ...]
 
 
-@lru_cache(maxsize=None)
-def _cone_solver(basis: tuple[Vec, ...]):
-    """(det, adj) with det > 0 and lambda_i = <adj[i], u> / det for B*lambda = u."""
-    s = len(basis)
-    inv_cols = []
-    det = Fraction(1)
-    # Build B^{-1} column by column; det via pivot product of one elimination.
-    rows = [[Fraction(basis[j][k]) for j in range(s)] for k in range(s)]
-    work = [r[:] for r in rows]
-    for col in range(s):
-        piv = next((i for i in range(col, s) if work[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular basis")
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        det *= work[col][col]
-        for i in range(col + 1, s):
-            if work[i][col] != 0:
-                f = work[i][col] / work[col][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    for i in range(s):
-        e = tuple(1 if k == i else 0 for k in range(s))
-        lam = solve_square(basis, e)
-        inv_cols.append(lam)
-    d = int(det)
-    adj = tuple(tuple(int(inv_cols[k][i] * det) for k in range(s)) for i in range(s))
-    if d < 0:
-        d = -d
-        adj = tuple(tuple(-x for x in row) for row in adj)
-    return d, adj
+def _solver(basis) -> tuple[int, tuple[Vec, ...]]:
+    """det_adj of a cone basis, which must be invertible."""
+    solved = det_adj(tuple(tuple(b) for b in basis))
+    if solved is None:
+        raise ValueError("singular basis")
+    return solved
 
 
 def support_membership(basis, offset: Vec, alpha: Vec) -> bool:
     """True iff alpha lies on offset + N*basis[0] + ... + N*basis[s-1]."""
-    d, adj = _cone_solver(tuple(tuple(b) for b in basis))
+    d, adj = _solver(basis)
     u = vsub(tuple(alpha), tuple(offset))
     for row in adj:
         num = dot(row, u)
@@ -154,27 +128,35 @@ def support_membership(basis, offset: Vec, alpha: Vec) -> bool:
 
 def inverse_laplace_term(term: ExpRatTerm) -> ConePiece:
     """One reduced term to one polynomial piece on a shifted lattice cone."""
-    basis = [f.vector for f in term.denom]
+    basis = tuple(f.vector for f in term.denom)
     s = len(basis[0]) if basis else 0
-    if len(basis) != s or rank(basis) != s:
-        raise ValueError("term denominators must form an invertible basis")
+    _, adj = _solver(basis)
     c = term.num.shift
     poly = MultiPoly.constant(term.num.coeff, s)
     offset = vsub((0,) * s, c)
     for i, f in enumerate(term.denom):
-        w = orth_complement(basis, i)
+        # adjugate row i, made primitive: orthogonal to every basis vector
+        # but f.vector, and positive on it
+        g = gcd(*adj[i])
+        w = tuple(x // g for x in adj[i])
         pair = dot(w, f.vector)
         for j in range(1, f.power):
             poly = poly * MultiPoly.linear(w, dot(w, c) + j * pair)
         if f.power > 1:
             poly = poly.scaled(Fraction(1, factorial(f.power - 1) * pair ** (f.power - 1)))
         offset = vsub(offset, scale(f.vector, f.power - 1))
-    return ConePiece(tuple(basis), offset, poly)
+    return ConePiece(basis, offset, poly)
 
 
-def closed_form(X) -> ClosedForm:
-    """Toric-reduce X and invert every term; merge pieces on (basis, offset)."""
-    rf = toric_reduce(X)
+def closed_form(X, reduced: ReducedForm | None = None) -> ClosedForm:
+    """Toric-reduce X and invert every term; merge pieces on (basis, offset).
+
+    A caller that already holds toric_reduce(X) passes it as reduced, and X
+    is not reduced again.
+    """
+    rf = toric_reduce(X) if reduced is None else reduced
+    if rf.source != tuple(tuple(a) for a in X):
+        raise ValueError("reduced form belongs to another system")
     return merge_pieces(rf.source, [inverse_laplace_term(t) for t in rf.sum.terms])
 
 
@@ -208,7 +190,7 @@ def eval_closed_box(cf: ClosedForm, lo: Vec, hi: Vec) -> dict[Vec, int]:
     acc: dict[Vec, Fraction] = {}
     corners = list(product(*[(l, h) for l, h in zip(lo, hi)]))
     for p in cf.pieces:
-        d, adj = _cone_solver(p.basis)
+        d, adj = _solver(p.basis)
         ranges = []
         for i in range(s):
             vals = [Fraction(dot(adj[i], vsub(c, p.offset)), d) for c in corners]

@@ -9,19 +9,23 @@ them.
 
 The reduction is order-dependent and non-unique; correctness is semantic
 (formal-identity preservation, spot-checked numerically in debug mode).
+The number of terms depends on the fold order by orders of magnitude, so
+toric_reduce chooses its order by a bounded greedy search (choose_fold).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from . import expalg
 from .expalg import (DenomFactor, ExpRatSum, ExpRatTerm, eval_numeric,
                      geometric_factor, laplace_generating, make_sum,
                      make_term, monomial)
-from .linalg import (IntegerRelation, Vec, dot, integer_relation, is_zero,
-                     pointedness_certificate, rank, scale, vadd, vneg)
+from .linalg import (IntegerRelation, Vec, det_adj, integer_relation, is_zero,
+                     pointedness_certificate, rank, scale, vadd)
 
 CHECK_RTOL = 1e-9
 
@@ -150,11 +154,13 @@ def absorb_vector(term: ExpRatTerm, a: Vec) -> list[ExpRatTerm]:
 
 
 def toric_reduce(X, check: bool = False, seed: int = 0) -> ReducedForm:
-    """Fold absorb_vector over X in input order, starting from the unit term.
+    """Fold absorb_vector over X, starting from the unit term, in the fold
+    order chosen by choose_fold.
 
     Requires X full-rank and pointed.  With check=True every absorption step
-    is verified numerically against the partial product at seeded generic
-    points.  The result always passes the structural invariant assertions.
+    of the chosen fold is verified numerically against the partial product
+    at seeded generic points.  The result always passes the structural
+    invariant assertions; its source is X in the caller's order.
     """
     X = [tuple(a) for a in X]
     if not X or any(is_zero(a) for a in X):
@@ -165,21 +171,94 @@ def toric_reduce(X, check: bool = False, seed: int = 0) -> ReducedForm:
     if pointedness_certificate(X) is None:
         raise ValueError("system is not pointed")
 
-    points = [expalg.random_generic_point(X, seed + k) for k in range(5)] if check else []
-    acc = make_sum([make_term(1, (0,) * s)])
-    for step, a in enumerate(X):
-        acc = make_sum([t for old in acc.terms for t in absorb_vector(old, a)])
-        if check:
-            target = laplace_generating(X[:step + 1])
+    order, prefixes = choose_fold(X)
+    if check:
+        points = [expalg.random_generic_point(X, seed + k) for k in range(5)]
+        for step, acc in enumerate(prefixes):
+            target = laplace_generating([X[i] for i in order[:step + 1]])
             for x in points:
                 want = eval_numeric(target, x)
                 got = eval_numeric(acc, x)
                 assert abs(got - want) <= CHECK_RTOL * (1 + abs(want)), \
                     f"identity drift at step {step}: {got} vs {want}"
 
-    rf = ReducedForm(tuple(X), acc)
+    rf = ReducedForm(tuple(X), prefixes[-1])
     assert_reduced_invariants(rf)
     return rf
+
+
+def fold_step(acc: ExpRatSum, a: Vec, cap: float = math.inf) -> ExpRatSum | None:
+    """acc / (1 - e^{-<a,x>}) as a normalized sum; None as soon as the terms
+    produced so far carry more than cap distinct (shift, denominator) keys."""
+    out: list[ExpRatTerm] = []
+    keys = set()
+    for old in acc.terms:
+        new = absorb_vector(old, a)
+        out += new
+        keys.update(t.key for t in new)
+        if len(keys) > cap:
+            return None
+    return make_sum(out)
+
+
+def choose_fold(X) -> tuple[list[int], list[ExpRatSum]]:
+    """Fold order for X and the partial sums after each of its steps.
+
+    Every sum of a complete fold is t_X's generating function; they differ
+    only in their number of terms.  The search seeds one greedy fold with
+    each independent s-subset of X, in ascending |det| (ties in index
+    order).  After the seed, each step absorbs every remaining vector, in
+    input order, and keeps the one that leaves the fewest terms; a later
+    candidate wins only with strictly fewer.  A candidate is abandoned once
+    it has more terms than the best one of its step or the best complete
+    fold so far.  Input order is folded last, capped at the best count, and
+    kept when it comes in at or below it: it wins ties, and the result never
+    has more terms than the input-order fold.
+    """
+    n, s = len(X), len(X[0])
+    unit = make_sum([make_term(1, (0,) * s)])
+    seeds = []
+    for subset in combinations(range(n), s):
+        solved = det_adj(tuple(X[i] for i in subset))
+        if solved is not None:
+            seeds.append((solved[0], subset))
+    seeds.sort()
+
+    best: tuple[list[int], list[ExpRatSum]] | None = None
+    best_count = math.inf
+    for _, subset in seeds:
+        order, prefixes = list(subset), []
+        acc = unit
+        for i in subset:
+            acc = fold_step(acc, X[i])
+            prefixes.append(acc)
+        rest = [i for i in range(n) if i not in subset]
+        while rest:
+            pick, step = None, None
+            for i in rest:
+                cap = best_count if step is None else min(best_count, len(step.terms))
+                cand = fold_step(acc, X[i], cap)
+                if cand is not None and (step is None or len(cand.terms) < len(step.terms)):
+                    pick, step = i, cand
+            if step is None:
+                break
+            rest.remove(pick)
+            order.append(pick)
+            prefixes.append(step)
+            acc = step
+        if not rest and len(acc.terms) < best_count:
+            best, best_count = (order, prefixes), len(acc.terms)
+
+    prefixes = []
+    acc = unit
+    for a in X:
+        acc = fold_step(acc, a, best_count)
+        if acc is None:
+            return best
+        prefixes.append(acc)
+    if len(acc.terms) <= best_count:
+        return list(range(n)), prefixes
+    return best
 
 
 def assert_reduced_invariants(rf: ReducedForm) -> None:

@@ -136,3 +136,9 @@ class TestUsage:
 
     def test_missing_subcommand_exits_2(self, capsys):
         assert main([]) == 2
+
+    def test_missing_input_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        assert main(["count", "--point", "1", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.txt" in err

@@ -6,6 +6,7 @@ from conftest import EX1, EX2
 from dtpower.engines import (DMContext, brute_force_box, brute_force_count,
                              cross_check, dm_count, independent_count)
 from dtpower.linalg import pointedness_certificate
+from dtpower.toric import toric_reduce
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +117,17 @@ class TestCrossCheck:
     def test_independent_all_ones(self):
         report = cross_check([(1, 0), (0, 1)], (0, 0), (3, 3), seed=0)
         assert report.ok
+
+    def test_reduces_once(self, monkeypatch):
+        calls = []
+
+        def counted(X):
+            calls.append(X)
+            return toric_reduce(X)
+        monkeypatch.setattr("dtpower.engines.toric_reduce", counted)
+        monkeypatch.setattr("dtpower.quasipoly.toric_reduce", counted)
+        assert cross_check(EX2, (-3, -3), (6, 6)).ok
+        assert len(calls) == 1
 
     def test_engine_agreement_random_systems(self, random_systems):
         for i, X in enumerate(random_systems[:12]):

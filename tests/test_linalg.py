@@ -5,7 +5,7 @@ from math import gcd, lcm
 
 import pytest
 
-from dtpower.linalg import (IntegerRelation, dot, integer_relation,
+from dtpower.linalg import (IntegerRelation, det_adj, dot, integer_relation,
                             orth_complement, pointedness_certificate, rank,
                             solve_square)
 
@@ -100,6 +100,45 @@ class TestOrthComplement:
                 else:
                     assert dot(w, basis[j]) == 0
             assert gcd(*w) == 1
+
+
+def _random_basis(rng, s):
+    basis = []
+    while rank(basis) != s:
+        basis = [tuple(rng.randint(-4, 4) for _ in range(s)) for _ in range(s)]
+    return tuple(basis)
+
+
+class TestDetAdj:
+    def test_skew_basis(self):
+        # columns (1,0), (-1,2): det 2, inverse rows (1, 1/2) and (0, 1/2)
+        assert det_adj(((1, 0), (-1, 2))) == (2, ((2, 1), (0, 1)))
+
+    def test_negative_determinant_made_positive(self):
+        d, adj = det_adj(((0, 1), (1, 0)))
+        assert d == 1 and adj == ((0, 1), (1, 0))
+
+    def test_singular_returns_none(self):
+        assert det_adj(((1, 2), (2, 4))) is None
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_adjugate_solves(self, seed):
+        rng = random.Random(300 + seed)
+        s = rng.randint(1, 4)
+        basis = _random_basis(rng, s)
+        d, adj = det_adj(basis)
+        u = tuple(rng.randint(-9, 9) for _ in range(s))
+        assert tuple(Fraction(dot(row, u), d) for row in adj) == solve_square(basis, u)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_primitive_adjugate_row_is_orth_complement(self, seed):
+        rng = random.Random(400 + seed)
+        s = rng.randint(1, 4)
+        basis = _random_basis(rng, s)
+        _, adj = det_adj(basis)
+        for i, row in enumerate(adj):
+            g = gcd(*row)
+            assert tuple(c // g for c in row) == orth_complement(basis, i)
 
 
 def _zero_combination_exists(X):

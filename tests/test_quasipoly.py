@@ -84,6 +84,16 @@ class TestClosedForm:
             for a in box:
                 assert eval_closed(cf, (a,)) == brute_force_count(X, (a,), cert)
 
+    def test_reuses_given_reduction(self, monkeypatch):
+        rf = toric_reduce(EX2)
+        monkeypatch.setattr("dtpower.quasipoly.toric_reduce", None)
+        assert closed_form(EX2, rf) == merge_pieces(
+            EX2, [inverse_laplace_term(t) for t in rf.sum.terms])
+
+    def test_reduction_of_another_system_rejected(self):
+        with pytest.raises(ValueError):
+            closed_form(EX2, toric_reduce(EX1))
+
     def test_planar_matches_brute_force(self):
         cf = closed_form(EX2)
         cert = pointedness_certificate(EX2)
