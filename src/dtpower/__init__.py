@@ -4,6 +4,7 @@ force and the removal recursion."""
 
 from .engines import (CountReport, DMContext, brute_force_count, cross_check,
                       dm_count, independent_count)
+from .errors import InvariantError
 from .linalg import (IntegerRelation, PointedCertificate, integer_relation,
                      orth_complement, pointedness_certificate, rank,
                      solve_square)
@@ -13,8 +14,9 @@ from .toric import ReducedForm, toric_reduce
 
 __all__ = [
     "CountReport", "DMContext", "brute_force_count", "cross_check",
-    "dm_count", "independent_count", "IntegerRelation", "PointedCertificate",
-    "integer_relation", "orth_complement", "pointedness_certificate", "rank",
-    "solve_square", "ClosedForm", "ConePiece", "MultiPoly", "closed_form",
-    "eval_closed", "support_membership", "ReducedForm", "toric_reduce",
+    "dm_count", "independent_count", "InvariantError", "IntegerRelation",
+    "PointedCertificate", "integer_relation", "orth_complement",
+    "pointedness_certificate", "rank", "solve_square", "ClosedForm",
+    "ConePiece", "MultiPoly", "closed_form", "eval_closed",
+    "support_membership", "ReducedForm", "toric_reduce",
 ]

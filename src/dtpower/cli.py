@@ -3,7 +3,8 @@
 Subcommands: count | reduce | closed-form | verify | bench.  Input is one
 vector per line of whitespace-separated integers ('#' comments allowed),
 taken from a positional file or standard input.  Exit codes: 0 success,
-2 invalid input or usage, 3 verification failure.
+2 invalid input or usage, 3 verification failure, 4 broken internal
+invariant (a bug).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .engines import DMContext, brute_force_count, cross_check, dm_count
+from .errors import InvariantError
 from .expalg import ExpRatSum
 from .linalg import Vec, pointedness_certificate, rank
 from .quasipoly import ClosedForm, ConePiece, MultiPoly, closed_form, eval_closed
@@ -339,7 +341,9 @@ def cmd_bench(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dtpower",
-        description="Count nonnegative integer solutions of sum(beta_i * a_i) = alpha.")
+        description="Count nonnegative integer solutions of sum(beta_i * a_i) = alpha.",
+        epilog="exit codes: 0 success, 2 invalid input or usage, 3 verification "
+               "failure, 4 broken internal invariant (a bug; please report it)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -386,6 +390,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: internal invariant broken: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -12,9 +12,10 @@ import time
 from dataclasses import dataclass, field
 from itertools import product
 
+from .errors import InvariantError
 from .expalg import eval_numeric, laplace_generating, random_generic_point
-from .linalg import (PointedCertificate, Vec, dot, pointedness_certificate,
-                     rank, scale, solve_columns, vsub)
+from .linalg import (PointedCertificate, Vec, column_solver, dot,
+                     pointedness_certificate, rank, scale, vsub)
 from .quasipoly import closed_form, eval_closed_box
 from .toric import toric_reduce
 
@@ -99,10 +100,26 @@ def brute_force_box(X, lo: Vec, hi: Vec, certificate: PointedCertificate) -> dic
 
 def independent_count(A, alpha) -> int:
     """1 iff alpha is a nonnegative integer combination of the independent set A."""
-    lam = solve_columns([tuple(a) for a in A], tuple(alpha))
-    if lam is None:
+    A = tuple(tuple(a) for a in A)
+    alpha = tuple(alpha)
+    if A and len(A[0]) != len(alpha):
+        raise ValueError(f"dimension mismatch: {len(A[0])} vs {len(alpha)}")
+    solved = column_solver(A)
+    if solved is None:
         return 0
-    return int(all(f.denominator == 1 and f >= 0 for f in lam))
+    rows, d, adj = solved
+    u = tuple(alpha[k] for k in rows)
+    lam = []
+    for row in adj:
+        num = dot(row, u)
+        if num < 0 or num % d:
+            return 0
+        lam.append(num // d)
+    if len(rows) < len(alpha):
+        # the other coordinates: alpha must lie in the span of A
+        reached = tuple(sum(l * a[k] for l, a in zip(lam, A)) for k in range(len(alpha)))
+        return int(reached == alpha)
+    return 1
 
 
 class DMContext:
@@ -171,7 +188,7 @@ def cross_check(X, lo: Vec, hi: Vec, seed: int = 0) -> CountReport:
         want = eval_numeric(original, x)
         got = eval_numeric(rf.sum, x)
         if abs(got - want) > IDENTITY_RTOL * (1 + abs(want)):
-            raise AssertionError(f"generating-function identity fails at {x}")
+            raise InvariantError(f"generating-function identity fails at {x}")
 
     report = CountReport(box=(lo, hi))
     points = list(box_points(lo, hi))

@@ -9,7 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd, lcm
+
+from .errors import InvariantError
 
 Vec = tuple[int, ...]
 
@@ -196,6 +199,28 @@ def det_adj(basis: tuple[Vec, ...]):
     return int(d), tuple(tuple(int(x * d) for x in row[s:]) for row in rows)
 
 
+@lru_cache(maxsize=4096)
+def column_solver(columns: tuple[Vec, ...]):
+    """(rows, d, adj) for r independent columns of dimension s >= r, or None
+    when they are dependent.
+
+    rows is the first r-subset of coordinates on which the columns are
+    invertible, and (d, adj) is det_adj of that r x r block: lambda_i =
+    <adj[i], u[rows]> / d is the only candidate for sum(lambda_j *
+    columns[j]) == u.  When r < s, the candidate solves the whole system
+    only if it also meets the other coordinates.  Cached, because the
+    recursion's base case asks about one fixed prefix at every point.
+    """
+    s = len(columns[0]) if columns else 0
+    if any(len(c) != s for c in columns):
+        raise ValueError("columns of different dimensions")
+    for rows in combinations(range(s), len(columns)):
+        solved = det_adj(tuple(tuple(c[k] for k in rows) for c in columns))
+        if solved is not None:
+            return rows, solved[0], solved[1]
+    return None
+
+
 def pointedness_certificate(X):
     """Rational xi with <xi, a> >= 1 for all a in X, via Fourier-Motzkin.
 
@@ -240,5 +265,6 @@ def pointedness_certificate(X):
         else:
             xi[var] = (lo + hi) / 2
     cert = PointedCertificate(tuple(xi))
-    assert all(cert.pairing(a) >= 1 for a in X)
+    if not all(cert.pairing(a) >= 1 for a in X):
+        raise InvariantError(f"Fourier-Motzkin certificate {cert.xi} fails on {X}")
     return cert

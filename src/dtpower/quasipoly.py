@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import ceil, factorial, floor, gcd
+from math import factorial, gcd
 
+from .errors import InvariantError
 from .expalg import ExpRatTerm
 from .linalg import Vec, det_adj, dot, scale, vadd, vsub
 from .toric import ReducedForm, toric_reduce
@@ -178,39 +179,63 @@ def eval_closed(cf: ClosedForm, alpha) -> int:
     for p in cf.pieces:
         if support_membership(p.basis, p.offset, alpha):
             total += p.poly.evaluate(alpha)
-    assert total.denominator == 1 and total >= 0, \
-        f"closed form produced non-count value {total} at {alpha}"
-    return int(total)
+    return _count(total, alpha)
+
+
+def _count(value: Fraction, alpha: Vec) -> int:
+    if value.denominator != 1 or value < 0:
+        raise InvariantError(f"closed form produced non-count value {value} at {alpha}")
+    return int(value)
 
 
 def eval_closed_box(cf: ClosedForm, lo: Vec, hi: Vec) -> dict[Vec, int]:
     """Counts for every lattice point of the box, walking each piece's own
-    support lattice instead of testing membership pointwise."""
+    support lattice instead of testing membership pointwise.
+
+    The cone coordinates lambda_1 .. lambda_{s-1} run over the ranges the box
+    corners bound.  For each of their points x, the box is an interval of
+    the last coordinate t, lo_k <= x_k + t * c_k <= hi_k for every k with c
+    the last basis vector, so the walk meets only lattice points in the box.
+    """
     s = len(lo)
     acc: dict[Vec, Fraction] = {}
     corners = list(product(*[(l, h) for l, h in zip(lo, hi)]))
     for p in cf.pieces:
         d, adj = _solver(p.basis)
         ranges = []
-        for i in range(s):
-            vals = [Fraction(dot(adj[i], vsub(c, p.offset)), d) for c in corners]
-            lo_i = max(0, ceil(min(vals)))
-            hi_i = floor(max(vals))
+        for i in range(s - 1):
+            nums = [dot(adj[i], vsub(c, p.offset)) for c in corners]
+            lo_i = max(0, -(-min(nums) // d))
+            hi_i = max(nums) // d
             if hi_i < lo_i:
                 ranges = None
                 break
             ranges.append(range(lo_i, hi_i + 1))
         if ranges is None:
             continue
+        last = p.basis[-1]
         for lam in product(*ranges):
-            alpha = p.offset
+            x = p.offset
             for li, b in zip(lam, p.basis):
-                alpha = vadd(alpha, scale(b, li))
-            if all(l <= a <= h for l, a, h in zip(lo, alpha, hi)):
-                acc[alpha] = acc.get(alpha, Fraction(0)) + p.poly.evaluate(alpha)
+                x = vadd(x, scale(b, li))
+            t_lo, t_hi = 0, None
+            for l, h, xk, ck in zip(lo, hi, x, last):
+                if ck == 0:
+                    if not l <= xk <= h:
+                        break
+                    continue
+                if ck < 0:
+                    l, h = h, l
+                t_lo = max(t_lo, -((xk - l) // ck))
+                top = (h - xk) // ck
+                t_hi = top if t_hi is None else min(t_hi, top)
+            else:
+                for t in range(t_lo, t_hi + 1):
+                    alpha = vadd(x, scale(last, t))
+                    acc[alpha] = acc.get(alpha, Fraction(0)) + p.poly.evaluate(alpha)
     out = {}
     for alpha, v in acc.items():
-        assert v.denominator == 1 and v >= 0
-        if v:
-            out[alpha] = int(v)
+        n = _count(v, alpha)
+        if n:
+            out[alpha] = n
     return out

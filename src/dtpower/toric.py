@@ -21,6 +21,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import expalg
+from .errors import InvariantError
 from .expalg import (DenomFactor, ExpRatSum, ExpRatTerm, eval_numeric,
                      geometric_factor, laplace_generating, make_sum,
                      make_term, monomial)
@@ -123,7 +124,8 @@ def partial_fraction(y0_factor: DenomFactor, gammas, term: ExpRatTerm) -> list[E
 def _absorption_data(vecs: tuple[Vec, ...], a: Vec):
     """Shared rewrite data for absorbing a into any term with denominators vecs."""
     rel = integer_relation(list(vecs), a)
-    assert rel is not None
+    if rel is None:
+        raise InvariantError(f"{a} is outside the span of the denominators {vecs}")
     kept = [(m, v) for m, v in zip(rel.coefficients, vecs) if m != 0]
     sub_basis = [v for _, v in kept]
     sub_rel = IntegerRelation(rel.multiplier, tuple(m for m, _ in kept))
@@ -160,7 +162,8 @@ def toric_reduce(X, check: bool = False, seed: int = 0) -> ReducedForm:
     Requires X full-rank and pointed.  With check=True every absorption step
     of the chosen fold is verified numerically against the partial product
     at seeded generic points.  The result always passes the structural
-    invariant assertions; its source is X in the caller's order.
+    invariant checks of assert_reduced_invariants; its source is X in the
+    caller's order.
     """
     X = [tuple(a) for a in X]
     if not X or any(is_zero(a) for a in X):
@@ -179,8 +182,8 @@ def toric_reduce(X, check: bool = False, seed: int = 0) -> ReducedForm:
             for x in points:
                 want = eval_numeric(target, x)
                 got = eval_numeric(acc, x)
-                assert abs(got - want) <= CHECK_RTOL * (1 + abs(want)), \
-                    f"identity drift at step {step}: {got} vs {want}"
+                if abs(got - want) > CHECK_RTOL * (1 + abs(want)):
+                    raise InvariantError(f"identity drift at step {step}: {got} vs {want}")
 
     rf = ReducedForm(tuple(X), prefixes[-1])
     assert_reduced_invariants(rf)
@@ -268,13 +271,15 @@ def assert_reduced_invariants(rf: ReducedForm) -> None:
     n = len(X)
     for t in rf.sum.terms:
         vecs = [f.vector for f in t.denom]
-        assert len(vecs) == s, f"term has {len(vecs)} denominators, expected {s}"
-        assert rank(vecs) == s, "dependent denominator vectors"
-        assert t.total_power() == n, \
-            f"power conservation broken: {t.total_power()} != {n}"
+        if len(vecs) != s:
+            raise InvariantError(f"term has {len(vecs)} denominators, expected {s}")
+        if rank(vecs) != s:
+            raise InvariantError("dependent denominator vectors")
+        if t.total_power() != n:
+            raise InvariantError(f"power conservation broken: {t.total_power()} != {n}")
         for v in vecs:
-            assert _positive_multiple_of_some(v, X), \
-                f"{v} is not a positive multiple of a source vector"
+            if not _positive_multiple_of_some(v, X):
+                raise InvariantError(f"{v} is not a positive multiple of a source vector")
 
 
 def _positive_multiple_of_some(v: Vec, X) -> bool:

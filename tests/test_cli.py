@@ -6,6 +6,7 @@ import pytest
 from conftest import EX2
 from dtpower.cli import (closed_form_from_json, closed_form_to_json, main,
                          parse_vectors)
+from dtpower.errors import InvariantError
 from dtpower.quasipoly import closed_form, eval_closed
 
 EX1_TEXT = "1\n1\n2\n"
@@ -142,3 +143,16 @@ class TestUsage:
         assert main(["count", "--point", "1", str(missing)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "missing.txt" in err
+
+    def test_broken_invariant_exits_4(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InvariantError("dependent denominator vectors")
+        monkeypatch.setattr("dtpower.cli.cross_check", broken)
+        code, out, err = run(["verify", "--box=-2:2"], EX2_TEXT, tmp_path, capsys)
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and "dependent denominator" in err
+
+    def test_help_documents_exit_codes(self, capsys):
+        assert main(["--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "exit codes" in out and "4 broken internal invariant" in out

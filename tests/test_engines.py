@@ -1,11 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import EX1, EX2
 from dtpower.engines import (DMContext, brute_force_box, brute_force_count,
                              cross_check, dm_count, independent_count)
-from dtpower.linalg import pointedness_certificate
+from dtpower.linalg import pointedness_certificate, rank, solve_columns
 from dtpower.toric import toric_reduce
 
 
@@ -53,6 +55,25 @@ class TestIndependentCount:
         assert independent_count([(1, 0, 0)], (0, 1, 0)) == 0
         assert independent_count([(1, 0, 0)], (2, 0, 0)) == 1
 
+    @pytest.mark.parametrize("s,r", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_elimination(self, s, r, data):
+        entry = st.integers(-3, 3)
+        A = data.draw(st.lists(st.tuples(*[entry] * s), min_size=r, max_size=r))
+        assume(rank(A) == r)
+        # near a lattice point of the span, so both answers occur
+        lam = data.draw(st.lists(st.integers(-2, 4), min_size=r, max_size=r))
+        nudge = data.draw(st.tuples(*[st.integers(-1, 1)] * s))
+        alpha = tuple(sum(l * a[k] for l, a in zip(lam, A)) + nudge[k] for k in range(s))
+        ref = solve_columns(A, alpha)
+        want = int(ref is not None and all(f.denominator == 1 and f >= 0 for f in ref))
+        assert independent_count(A, alpha) == want
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            independent_count([(1, 0)], (1,))
+
 
 class TestRecursion:
     def test_scalar(self):
@@ -95,6 +116,20 @@ class TestRecursion:
                     else:
                         total += sub.count(shifted)
                 assert total == full.count(alpha)
+
+    @pytest.mark.parametrize("X", [
+        ((1, 0), (2, 0), (0, 1)),
+        ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)),
+        ((1, 2, 0), (2, 4, 0), (0, 1, 1), (1, 0, 1)),
+    ])
+    def test_dependent_prefix_agrees_with_brute_force(self, X):
+        # the base case is a prefix of fewer than s vectors
+        ctx = DMContext(X)
+        assert ctx.base_len < len(X[0])
+        cert = pointedness_certificate(X)
+        hi = 8 if len(X[0]) == 2 else 5
+        for a in itertools.product(range(-2, hi + 1), repeat=len(X[0])):
+            assert ctx.count(a) == brute_force_count(X, a, cert)
 
     def test_monotone_under_vector_addition(self, cert1):
         bigger = list(EX1) + [(3,)]

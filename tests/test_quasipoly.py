@@ -1,11 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import EX1, EX2
-from dtpower.engines import brute_force_count
+from conftest import EX1, EX2, random_pointed_systems
+from dtpower.engines import box_points, brute_force_count
 from dtpower.expalg import DenomFactor, make_term
 from dtpower.linalg import pointedness_certificate
 from dtpower.quasipoly import (MultiPoly, closed_form, eval_closed,
@@ -124,6 +127,82 @@ class TestEvalClosed:
         table = eval_closed_box(cf, lo, hi)
         for a in itertools.product(range(-5, 10), repeat=2):
             assert table.get(a, 0) == eval_closed(cf, a)
+
+
+CORPUS = random_pointed_systems()
+
+
+@lru_cache(maxsize=None)
+def corpus_form(i):
+    return closed_form(CORPUS[i])
+
+
+@st.composite
+def corpus_boxes(draw):
+    """(index, lo, hi, kind): a seeded corpus system and a box that is random,
+    a single point, far negative in one lower coordinate, or wholly outside
+    the cone (every point pairs negatively with the pointedness certificate)."""
+    i = draw(st.integers(0, len(CORPUS) - 1))
+    X = CORPUS[i]
+    s = len(X[0])
+    kind = draw(st.sampled_from(["random", "single", "far-negative", "outside"]))
+    lo = tuple(draw(st.integers(-6, 12)) for _ in range(s))
+    if kind == "single":
+        hi = lo
+    else:
+        width = {1: 30, 2: 8, 3: 4}[s]
+        hi = tuple(l + draw(st.integers(0, width)) for l in lo)
+    if kind == "far-negative":
+        k = draw(st.integers(0, s - 1))
+        lo = lo[:k] + (lo[k] - draw(st.integers(20, 60)),) + lo[k + 1:]
+    if kind == "outside":
+        xs, _ = pointedness_certificate(X).scaled()
+        top = max(sum(x * c for x, c in zip(xs, corner))
+                  for corner in itertools.product(*zip(lo, hi)))
+        m = max(0, top // sum(x * x for x in xs) + 1)
+        lo = tuple(l - m * x for l, x in zip(lo, xs))
+        hi = tuple(h - m * x for h, x in zip(hi, xs))
+    return i, lo, hi, kind
+
+
+class TestBoxWalk:
+    """eval_closed_box clips each piece's last cone coordinate to the box;
+    it must agree with pointwise evaluation everywhere."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(corpus_boxes())
+    def test_matches_pointwise(self, case):
+        i, lo, hi, kind = case
+        cf = corpus_form(i)
+        table = eval_closed_box(cf, lo, hi)
+        assert all(v > 0 and all(l <= c <= h for l, c, h in zip(lo, a, hi))
+                   for a, v in table.items())
+        if kind == "outside":
+            assert table == {}
+        for a in box_points(lo, hi):
+            assert table.get(a, 0) == eval_closed(cf, a)
+
+    @pytest.mark.parametrize("X", [
+        ((0, 1, 1), (0, 1, -1), (1, 0, 0)),
+        ((0, 1, 1), (0, 1, -1), (1, 0, 0), (1, 1, 0)),
+    ])
+    def test_zero_coordinate_of_last_vector(self, X):
+        # the last basis vector is flat in y and z, while the corner ranges
+        # of the other two coordinates overshoot the box there
+        cf = closed_form(X)
+        assert any(p.basis[-1][1] == 0 for p in cf.pieces)
+        for lo, hi in [((-2, -2, -2), (4, 4, 4)), ((0, 3, -1), (2, 3, 5))]:
+            table = eval_closed_box(cf, lo, hi)
+            assert set(table) <= set(box_points(lo, hi))
+            for a in box_points(lo, hi):
+                assert table.get(a, 0) == eval_closed(cf, a)
+
+    def test_corpus_reaches_every_clip_branch(self):
+        # last basis vectors with positive, negative and zero coordinates
+        lasts = [p.basis[-1] for i in range(len(CORPUS)) for p in corpus_form(i).pieces
+                 if len(p.basis) > 1]
+        for branch in (lambda c: c > 0, lambda c: c < 0, lambda c: c == 0):
+            assert any(branch(c) for v in lasts for c in v)
 
 
 class TestStructure:

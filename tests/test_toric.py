@@ -3,9 +3,10 @@ import pytest
 from dtpower.expalg import (DenomFactor, ExpRatSum, add, eval_numeric,
                             laplace_generating, make_sum, make_term, monomial,
                             mul, random_generic_point)
+from dtpower.errors import InvariantError
 from dtpower.linalg import IntegerRelation
-from dtpower.toric import (absorb_vector, expand_dependent, partial_fraction,
-                           toric_reduce)
+from dtpower.toric import (ReducedForm, absorb_vector, assert_reduced_invariants,
+                           expand_dependent, partial_fraction, toric_reduce)
 
 RTOL = 1e-9
 
@@ -181,3 +182,24 @@ class TestToricReduce:
                 want = eval_numeric(gen, x)
                 got = eval_numeric(rf.sum, x)
                 assert abs(got - want) <= RTOL * (1 + abs(want))
+
+
+class TestReducedInvariants:
+    """A corrupted reduction of EX2 = ((1,0), (0,1), (-1,2)) fails each
+    structural check with InvariantError, which python -O does not strip."""
+
+    @pytest.mark.parametrize("factors,message", [
+        ([DenomFactor((1, 0), 3)], "denominators, expected 2"),
+        ([DenomFactor((1, 0), 1), DenomFactor((2, 0), 2)], "dependent"),
+        ([DenomFactor((1, 0), 1), DenomFactor((0, 1), 1)], "power conservation"),
+        ([DenomFactor((1, 1), 2), DenomFactor((0, 1), 1)], "positive multiple"),
+    ])
+    def test_corrupted_form_raises(self, factors, message):
+        source = ((1, 0), (0, 1), (-1, 2))
+        assert_reduced_invariants(toric_reduce(source))
+        bad = ReducedForm(source, ExpRatSum((make_term(1, (0, 0), factors),)))
+        with pytest.raises(InvariantError, match=message):
+            assert_reduced_invariants(bad)
+
+    def test_is_an_assertion_error(self):
+        assert issubclass(InvariantError, AssertionError)
