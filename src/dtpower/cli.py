@@ -15,9 +15,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engines import DMContext, brute_force_count, cross_check, dm_count
+from .engines import brute_force_count, cross_check, dm_count
 from .errors import InvariantError
-from .expalg import ExpRatSum
 from .linalg import Vec, pointedness_certificate, rank
 from .quasipoly import ClosedForm, ConePiece, MultiPoly, closed_form, eval_closed
 from .toric import toric_reduce
@@ -73,6 +72,14 @@ def _varnames(s: int) -> list[str]:
     return list("xyz"[:s]) if s <= 3 else [f"x{i + 1}" for i in range(s)]
 
 
+def _join_signed(parts) -> str:
+    """Join terms with " + ", or with " - " before a term that starts with "-"."""
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
 def fmt_linear(coeffs, names) -> str:
     parts = []
     for c, n in zip(coeffs, names):
@@ -84,34 +91,26 @@ def fmt_linear(coeffs, names) -> str:
             parts.append(f"-{n}")
         else:
             parts.append(f"{c}{n}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
+    return _join_signed(parts) if parts else "0"
 
 
-def fmt_poly(poly: MultiPoly, names) -> str:
-    if not poly.monomials:
-        return "0"
+def _fmt_poly(poly: MultiPoly, names, coeff, sep: str) -> str:
+    """poly with coefficients formatted by coeff and factors joined by sep,
+    highest degree first: str and "*" for text, _latex_frac and " " for LaTeX."""
     bits = []
     for exps in sorted(poly.monomials, key=lambda e: (-sum(e), e)):
         c = poly.monomials[exps]
-        var = "*".join(f"{n}^{p}" if p > 1 else n
+        var = sep.join(f"{n}^{p}" if p > 1 else n
                        for n, p in zip(names, exps) if p)
         if not var:
-            bits.append(str(c))
+            bits.append(coeff(c))
         elif c == 1:
             bits.append(var)
         elif c == -1:
             bits.append(f"-{var}")
         else:
-            bits.append(f"{c}*{var}")
-    out = bits[0]
-    for b in bits[1:]:
-        out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
-    return out
+            bits.append(f"{coeff(c)}{sep}{var}")
+    return _join_signed(bits) if bits else "0"
 
 
 def fmt_term(term, names) -> str:
@@ -155,30 +154,8 @@ def render_closed_text(cf: ClosedForm) -> str:
     lines = []
     for p in cf.pieces:
         basis = ", ".join(str(b) for b in p.basis)
-        lines.append(f"[{fmt_poly(p.poly, names)}]  on  {p.offset} + N*{{{basis}}}")
+        lines.append(f"[{_fmt_poly(p.poly, names, str, '*')}]  on  {p.offset} + N*{{{basis}}}")
     return "\n".join(lines)
-
-
-def _latex_poly(poly: MultiPoly, names) -> str:
-    if not poly.monomials:
-        return "0"
-    bits = []
-    for exps in sorted(poly.monomials, key=lambda e: (-sum(e), e)):
-        c = poly.monomials[exps]
-        var = " ".join(f"{n}^{p}" if p > 1 else n
-                       for n, p in zip(names, exps) if p)
-        if not var:
-            bits.append(_latex_frac(c))
-        elif c == 1:
-            bits.append(var)
-        elif c == -1:
-            bits.append(f"-{var}")
-        else:
-            bits.append(f"{_latex_frac(c)} {var}")
-    out = bits[0]
-    for b in bits[1:]:
-        out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
-    return out
 
 
 def render_closed_latex(cf: ClosedForm) -> str:
@@ -187,7 +164,7 @@ def render_closed_latex(cf: ClosedForm) -> str:
     for p in cf.pieces:
         basis = ",".join("(" + ",".join(str(c) for c in b) + ")" for b in p.basis)
         shift = ", ".join(f"{n} - ({v})" for n, v in zip(names, p.offset))
-        poly = _latex_poly(p.poly, names)
+        poly = _fmt_poly(p.poly, names, _latex_frac, " ")
         parts.append(f"\\left({poly}\\right)\\, t_{{\\{{{basis}\\}}}}({shift})")
     return " + ".join(parts)
 

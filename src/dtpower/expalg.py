@@ -16,9 +16,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Vec, dot, is_zero, pointedness_certificate, scale, vadd, vneg
+from .errors import InvariantError
+from .linalg import Vec, is_zero, pointedness_certificate, scale, vadd
 
 SINGULAR_TOL = 1e-12
+IDENTITY_RTOL = 1e-9
 
 
 class SingularPoint(Exception):
@@ -182,3 +184,13 @@ def random_generic_point(vectors, seed) -> tuple[float, ...]:
         # certificate forces a wide pairing spread; lower bound still holds
         return fallback
     raise RuntimeError("could not place a generic point for this system")
+
+
+def spot_check(got: ExpRatSum, want: ExpRatSum, X, seed: int = 0) -> None:
+    """Raise InvariantError unless got and want agree, to relative
+    IDENTITY_RTOL, at the five points random_generic_point(X, seed + k)."""
+    for k in range(5):
+        x = random_generic_point(X, seed + k)
+        g, w = eval_numeric(got, x), eval_numeric(want, x)
+        if abs(g - w) > IDENTITY_RTOL * (1 + abs(w)):
+            raise InvariantError(f"generating-function identity fails at {x}: {g} vs {w}")

@@ -1,7 +1,10 @@
 """Exact rational linear algebra for small dense integer systems.
 
 Everything works over Python ints and fractions.Fraction; no floats enter
-any computation here.  Vectors are plain tuples of ints.
+any computation here.  Vectors are plain tuples of ints.  rank, det_adj,
+column_solver and integer_relation share one fraction-free elimination over
+int (_bareiss); solve_columns is the Fraction reference they are tested
+against.
 """
 
 from __future__ import annotations
@@ -9,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import gcd, lcm
 
 from .errors import InvariantError
@@ -33,10 +35,6 @@ def vadd(u: Vec, v: Vec) -> Vec:
 
 def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vneg(v: Vec) -> Vec:
-    return tuple(-c for c in v)
 
 
 def is_zero(v: Vec) -> bool:
@@ -114,21 +112,7 @@ def rank(X) -> int:
     """Rank over the rationals of the span of the given integer vectors."""
     if not X:
         return 0
-    rows = [[Fraction(c) for c in v] for v in X]
-    s = len(rows[0])
-    rk = 0
-    for col in range(s):
-        piv = next((i for i in range(rk, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        pv = rows[rk][col]
-        for i in range(rk + 1, len(rows)):
-            if rows[i][col] != 0:
-                f = rows[i][col] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rk])]
-        rk += 1
-    return rk
+    return _bareiss([list(v) for v in X], len(X[0]))[0]
 
 
 def integer_relation(basis, target):
@@ -138,12 +122,17 @@ def integer_relation(basis, target):
     the span.  The multiplier m is the least positive integer clearing the
     denominators of the rational solution, which makes the relation primitive.
     """
-    lam = solve_columns(basis, target)
-    if lam is None:
+    if not basis:
+        return IntegerRelation(1, ()) if is_zero(target) else None
+    solved = column_solver(tuple(tuple(b) for b in basis))
+    if solved is None:
         return None
-    m = lcm(*(f.denominator for f in lam)) if lam else 1
-    coeffs = tuple(int(f * m) for f in lam)
-    return IntegerRelation(m, coeffs)
+    d, adj, null = solved
+    if any(dot(row, target) for row in null):
+        return None
+    nums = [dot(row, target) for row in adj]
+    g = gcd(d, *nums)
+    return IntegerRelation(d // g, tuple(n // g for n in nums))
 
 
 def orth_complement(basis, i: int) -> Vec:
@@ -165,60 +154,73 @@ def orth_complement(basis, i: int) -> Vec:
     return tuple(c // g for c in v)
 
 
-@lru_cache(maxsize=4096)
-def det_adj(basis: tuple[Vec, ...]):
-    """(d, adj) for the square matrix B with the given columns, or None when
-    B is singular.
+def _bareiss(rows, ncols: int) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows,
+    in place, with pivots taken from the first ncols columns.
 
-    d = |det B| > 0 and adj[i] / d is row i of B^{-1}: lambda_i =
-    <adj[i], u> / d solves sum(lambda_j * basis[j]) == u.  Row adj[i] is
-    orthogonal to every column but basis[i] and pairs with it to d.  Cached,
-    because the bases of a toric reduction repeat across its terms.
+    Returns (rank, last pivot d); d is 1 when the rank is 0.  Afterwards the
+    pivot rows come first, in pivot order: each holds d in its own pivot
+    column and 0 in the others, and every other row is 0 in all pivot
+    columns.  Every entry stays a minor of the input, so each division by
+    the previous pivot is exact.
     """
-    s = len(basis)
-    if any(len(b) != s for b in basis):
-        raise ValueError(f"expected {s} basis vectors of dimension {s}")
-    rows = [[Fraction(b[k]) for b in basis] + [Fraction(int(k == i)) for i in range(s)]
-            for k in range(s)]
-    det = Fraction(1)
-    for col in range(s):
-        piv = next((i for i in range(col, s) if rows[i][col] != 0), None)
+    rk, prev = 0, 1
+    for col in range(ncols):
+        piv = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
         if piv is None:
-            return None
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        pv = rows[col][col]
-        det *= pv
-        rows[col] = [x / pv for x in rows[col]]
-        for i in range(s):
-            if i != col and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    d = abs(det)
-    return int(d), tuple(tuple(int(x * d) for x in row[s:]) for row in rows)
+            continue
+        rows[rk], rows[piv] = rows[piv], rows[rk]
+        top = rows[rk]
+        p = top[col]
+        for i, row in enumerate(rows):
+            if i != rk:
+                f = row[col]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        rk += 1
+    return rk, prev
 
 
 @lru_cache(maxsize=4096)
 def column_solver(columns: tuple[Vec, ...]):
-    """(rows, d, adj) for r independent columns of dimension s >= r, or None
+    """(d, adj, null) for r independent columns of dimension s >= r, or None
     when they are dependent.
 
-    rows is the first r-subset of coordinates on which the columns are
-    invertible, and (d, adj) is det_adj of that r x r block: lambda_i =
-    <adj[i], u[rows]> / d is the only candidate for sum(lambda_j *
-    columns[j]) == u.  When r < s, the candidate solves the whole system
-    only if it also meets the other coordinates.  Cached, because the
-    recursion's base case asks about one fixed prefix at every point.
+    d > 0, and lambda_i = <adj[i], u> / d is the only candidate for
+    sum(lambda_j * columns[j]) == u.  The s - r rows of null pair to 0 with
+    every column, and u lies in the span of the columns iff every row of
+    null pairs to 0 with u.  Built by one elimination of [A | I_s], A the
+    s x r matrix of the columns.  Cached, because the recursion's base case
+    asks about one fixed prefix at every point.
     """
     s = len(columns[0]) if columns else 0
     if any(len(c) != s for c in columns):
         raise ValueError("columns of different dimensions")
-    for rows in combinations(range(s), len(columns)):
-        solved = det_adj(tuple(tuple(c[k] for k in rows) for c in columns))
-        if solved is not None:
-            return rows, solved[0], solved[1]
-    return None
+    r = len(columns)
+    rows = [[c[k] for c in columns] + [int(k == i) for i in range(s)] for k in range(s)]
+    rk, d = _bareiss(rows, r)
+    if rk < r:
+        return None
+    sign = 1 if d > 0 else -1
+    adj = tuple(tuple(sign * x for x in row[r:]) for row in rows[:r])
+    return sign * d, adj, tuple(tuple(row[r:]) for row in rows[r:])
+
+
+@lru_cache(maxsize=4096)
+def det_adj(basis: tuple[Vec, ...]):
+    """(d, adj) for the square matrix B with the given columns, or None when
+    B is singular: the square case of column_solver.
+
+    d = |det B| > 0 and adj[i] / d is row i of B^{-1}: lambda_i =
+    <adj[i], u> / d solves sum(lambda_j * basis[j]) == u.  Row adj[i] is
+    orthogonal to every column but basis[i] and pairs with it to d.  Cached
+    itself, because support_membership asks for it per piece and point.
+    """
+    s = len(basis)
+    if any(len(b) != s for b in basis):
+        raise ValueError(f"expected {s} basis vectors of dimension {s}")
+    solved = column_solver(basis)
+    return None if solved is None else solved[:2]
 
 
 def pointedness_certificate(X):

@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
-from dtpower.linalg import pointedness_certificate, rank
+from dtpower.linalg import det_adj, pointedness_certificate, rank
 
 EX1 = ((1,), (1,), (2,))
 EX2 = ((1, 0), (0, 1), (-1, 2))
@@ -33,26 +32,10 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def _abs_det(sub):
-    s = len(sub[0])
-    rows = [[Fraction(c) for c in v] for v in sub]
-    d = Fraction(1)
-    for col in range(s):
-        piv = next((i for i in range(col, s) if rows[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-        d *= rows[col][col]
-        for i in range(col + 1, s):
-            if rows[i][col]:
-                f = rows[i][col] / rows[col][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    return abs(int(d))
-
-
 def max_subset_det(X, s):
-    return max((_abs_det(sub) for sub in itertools.combinations(X, s)), default=0)
+    """Largest |det| over the s-subsets of X; 0 when every one is singular."""
+    solved = (det_adj(sub) for sub in itertools.combinations(X, s))
+    return max((0 if r is None else r[0] for r in solved), default=0)
 
 
 def random_pointed_systems(count=50, seed=MASTER_SEED, det_cap=DET_CAP):

@@ -74,6 +74,10 @@ class TestIndependentCount:
         with pytest.raises(ValueError):
             independent_count([(1, 0)], (1,))
 
+    def test_empty_set_counts_only_the_origin(self):
+        assert independent_count([], (0, 0)) == 1
+        assert independent_count([], (1, 0)) == 0
+
 
 class TestRecursion:
     def test_scalar(self):

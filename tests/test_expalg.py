@@ -2,10 +2,11 @@ import math
 
 import pytest
 
+from dtpower.errors import InvariantError
 from dtpower.expalg import (DenomFactor, SingularPoint, add, eval_numeric,
                             geometric_factor, laplace_generating, make_sum,
                             make_term, monomial, mul, normalize,
-                            random_generic_point)
+                            random_generic_point, spot_check)
 
 RTOL = 1e-9
 
@@ -126,3 +127,20 @@ class TestGenericPoint:
     def test_unpointed_rejected(self):
         with pytest.raises(ValueError):
             random_generic_point([(1,), (-1,)], seed=0)
+
+
+class TestSpotCheck:
+    # 1/(1-e^{-x}) == (1 + e^{-x}) / (1-e^{-2x})
+    X = [(1,)]
+    WANT = make_sum([laplace_generating(X)])
+
+    def split(self, q):
+        d = [DenomFactor((2,), 1)]
+        return make_sum([make_term(1, (0,), d), make_term(q, (-1,), d)])
+
+    def test_identity_passes(self):
+        spot_check(self.split(1), self.WANT, self.X, seed=3)
+
+    def test_mismatch_raises(self):
+        with pytest.raises(InvariantError, match="identity fails"):
+            spot_check(self.split(1 + 1e-6), self.WANT, self.X)

@@ -4,10 +4,25 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dtpower.linalg import (IntegerRelation, det_adj, dot, integer_relation,
-                            orth_complement, pointedness_certificate, rank,
+from dtpower.linalg import (IntegerRelation, column_solver, det_adj, dot,
+                            integer_relation, orth_complement,
+                            pointedness_certificate, rank, solve_columns,
                             solve_square)
+
+FEW = settings(max_examples=80, deadline=None)
+
+
+def vectors(s):
+    return st.tuples(*[st.integers(-3, 3)] * s)
+
+
+def independent(columns) -> bool:
+    """The Fraction reference's answer: only independent columns solve 0."""
+    s = len(columns[0])
+    return solve_columns(columns, (0,) * s) is not None
 
 
 class TestSolveSquare:
@@ -69,6 +84,64 @@ class TestIntegerRelation:
         # and the coefficients are recovered verbatim (basis is independent)
         assert rel == IntegerRelation(1, tuple(coeffs))
         assert gcd(rel.multiplier, *rel.coefficients) == 1
+
+    def test_in_span_off_lattice(self):
+        assert integer_relation([(2, 0, 2)], (1, 0, 1)) == IntegerRelation(2, (1,))
+
+    def test_empty_basis(self):
+        assert integer_relation([], (0, 0)) == IntegerRelation(1, ())
+        assert integer_relation([], (1, 0)) is None
+
+    @FEW
+    @given(data=st.data())
+    def test_matches_fraction_reference(self, data):
+        s = data.draw(st.integers(1, 3))
+        r = data.draw(st.integers(1, s))
+        basis = data.draw(st.lists(vectors(s), min_size=r, max_size=r))
+        assume(independent(basis))
+        # a combination of the basis, maybe divided by its content (off the
+        # lattice) and maybe nudged (off the lattice or outside the span)
+        lam = data.draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+        target = [sum(l * b[k] for l, b in zip(lam, basis)) for k in range(s)]
+        if data.draw(st.booleans()) and any(target):
+            g = gcd(*target)
+            target = [t // g for t in target]
+        nudge = data.draw(st.tuples(*[st.integers(-1, 1)] * s))
+        target = tuple(t + n for t, n in zip(target, nudge))
+        ref = solve_columns(basis, target)
+        if ref is None:
+            assert integer_relation(basis, target) is None
+        else:
+            m = lcm(*(f.denominator for f in ref))
+            want = IntegerRelation(m, tuple(int(f * m) for f in ref))
+            assert integer_relation(basis, target) == want
+
+
+class TestColumnSolver:
+    @FEW
+    @given(data=st.data())
+    def test_matches_fraction_reference(self, data):
+        s = data.draw(st.integers(1, 3))
+        r = data.draw(st.integers(1, s))
+        columns = tuple(data.draw(st.lists(vectors(s), min_size=r, max_size=r)))
+        u = data.draw(vectors(s))
+        solved = column_solver(columns)
+        if not independent(columns):
+            assert solved is None
+            return
+        d, adj, null = solved
+        assert d > 0 and len(adj) == r and len(null) == s - r
+        for i, row in enumerate(adj):
+            assert [dot(row, c) for c in columns] == [d * (i == j) for j in range(r)]
+        for row in null:
+            assert all(dot(row, c) == 0 for c in columns)
+        in_span = not any(dot(row, u) for row in null)
+        want = tuple(Fraction(dot(row, u), d) for row in adj) if in_span else None
+        assert solve_columns(columns, u) == want
+
+    def test_square_case_is_det_adj(self):
+        basis = ((2, 1), (1, 3))
+        assert column_solver(basis) == det_adj(basis) + ((),)
 
 
 class TestOrthComplement:
@@ -191,3 +264,22 @@ class TestRank:
 
     def test_proportional(self):
         assert rank([(2, 4), (1, 2)]) == 1
+
+    def test_empty_and_zero(self):
+        assert rank([]) == 0
+        assert rank([(0, 0)]) == 0
+
+    @FEW
+    @given(data=st.data())
+    def test_is_largest_independent_subset(self, data):
+        s = data.draw(st.integers(1, 3))
+        X = data.draw(st.lists(vectors(s), max_size=4))
+        # a combination of the other rows and a zero row make dependence likely
+        if X and data.draw(st.booleans()):
+            lam = data.draw(st.lists(st.integers(-2, 2), min_size=len(X), max_size=len(X)))
+            X.append(tuple(sum(l * v[k] for l, v in zip(lam, X)) for k in range(s)))
+        if data.draw(st.booleans()):
+            X.insert(data.draw(st.integers(0, len(X))), (0,) * s)
+        want = max(n for n in range(len(X) + 1)
+                   for S in itertools.combinations(X, n) if not S or independent(S))
+        assert rank(X) == want
