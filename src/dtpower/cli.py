@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .engines import brute_force_count, cross_check, dm_count
 from .errors import InvariantError
-from .linalg import Vec, pointedness_certificate, rank
+from .linalg import Vec, check_system
 from .quasipoly import ClosedForm, ConePiece, MultiPoly, closed_form, eval_closed
 from .toric import toric_reduce
 
@@ -36,34 +36,24 @@ class ProblemSpec:
 def parse_vectors(text: str, label: str | None = None) -> ProblemSpec:
     """One vector per line; dimension inferred from the first row.
 
-    The multiset order is preserved.  Validation rejects ragged rows, zero
-    vectors, rank-deficient systems and non-pointed systems, each with its
-    own message.
+    The multiset order is preserved.  A line that is not an integer vector,
+    and every system linalg.check_system rejects, raise InputError with
+    their own messages.
     """
     vectors = []
-    dim = None
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            row = tuple(int(tok) for tok in line.split())
+            vectors.append(tuple(int(tok) for tok in line.split()))
         except ValueError:
             raise InputError(f"line {ln}: not an integer vector: {line!r}")
-        if dim is None:
-            dim = len(row)
-        elif len(row) != dim:
-            raise InputError(f"line {ln}: ragged row, expected {dim} entries")
-        if all(c == 0 for c in row):
-            raise InputError(f"line {ln}: zero vector is not allowed")
-        vectors.append(row)
-    if not vectors:
-        raise InputError("no vectors in input")
-    if rank(vectors) != dim:
-        raise InputError(f"rank-deficient system: rank {rank(vectors)} < dimension {dim}")
-    if pointedness_certificate(vectors) is None:
-        raise InputError("system is not pointed: a nonzero nonnegative combination vanishes")
-    return ProblemSpec(dim, tuple(vectors), label)
+    try:
+        check_system(vectors)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    return ProblemSpec(len(vectors[0]), tuple(vectors), label)
 
 
 # ---------------------------------------------------------------- rendering
@@ -135,18 +125,20 @@ def render_reduced_latex(rf) -> str:
     names = _varnames(len(rf.source[0]))
     parts = []
     for t in rf.sum.terms:
-        num = f"{_latex_frac(t.num.coeff)} e^{{{fmt_linear(t.num.shift, names)}}}"
+        q = t.num.coeff
+        num = f"{_latex_frac(abs(q))} e^{{{fmt_linear(t.num.shift, names)}}}"
         den = "".join(
             f"(1-e^{{-({fmt_linear(f.vector, names)})}})^{{{f.power}}}"
             for f in t.denom)
-        parts.append(f"\\frac{{{num}}}{{{den}}}")
-    return " + ".join(parts).replace("+ \\frac{-", "- \\frac{")
+        parts.append(f"{'-' if q < 0 else ''}\\frac{{{num}}}{{{den}}}")
+    return _join_signed(parts)
 
 
 def _latex_frac(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
-    return f"\\frac{{{q.numerator}}}{{{q.denominator}}}"
+    sign = "-" if q < 0 else ""
+    return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
 
 
 def render_closed_text(cf: ClosedForm) -> str:
@@ -254,8 +246,7 @@ def cmd_count(args) -> int:
     spec = _read_spec(args)
     alpha = _parse_point(args.point, spec.dimension)
     if args.engine == "brute":
-        cert = pointedness_certificate(spec.vectors)
-        value = brute_force_count(spec.vectors, alpha, cert)
+        value = brute_force_count(spec.vectors, alpha, check_system(spec.vectors))
     elif args.engine == "recursion":
         value = dm_count(spec.vectors, alpha)
     else:

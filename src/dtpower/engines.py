@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .expalg import laplace_generating, spot_check
-from .linalg import (PointedCertificate, Vec, column_solver, dot,
-                     pointedness_certificate, rank, scale, vsub)
+from .linalg import (PointedCertificate, Vec, check_system, column_solver,
+                     dot, pointedness_certificate, rank, scale, vsub)
 from .quasipoly import closed_form, eval_closed_box
 from .toric import toric_reduce
 
@@ -29,13 +29,6 @@ class CountReport:
     @property
     def ok(self) -> bool:
         return not self.mismatches
-
-
-def _require_certificate(X, certificate=None) -> PointedCertificate:
-    cert = certificate or pointedness_certificate(X)
-    if cert is None:
-        raise ValueError("system is not pointed")
-    return cert
 
 
 def brute_force_count(X, alpha, certificate: PointedCertificate) -> int:
@@ -118,11 +111,14 @@ def independent_count(A, alpha) -> int:
 
 class DMContext:
     """One evaluation context for the removal recursion, with memoization
-    keyed on (prefix length, alpha)."""
+    keyed on (prefix length, alpha).  X need only be pointed: the removal
+    identity counts rank-deficient subsystems too."""
 
     def __init__(self, X, certificate=None):
         self.X = [tuple(a) for a in X]
-        self.cert = _require_certificate(self.X, certificate)
+        self.cert = certificate or pointedness_certificate(self.X)
+        if self.cert is None:
+            raise ValueError("system is not pointed")
         self.xs, _ = self.cert.scaled()
         self.weights = [dot(self.xs, a) for a in self.X]
         # longest prefix that is still linearly independent: recursion base
@@ -152,10 +148,9 @@ class DMContext:
         return total
 
 
-def dm_count(X, alpha, context: DMContext | None = None) -> int:
+def dm_count(X, alpha) -> int:
     """Removal recursion on the last vector, memoized within one context."""
-    ctx = context if context is not None else DMContext(X)
-    return ctx.count(alpha)
+    return DMContext(X).count(alpha)
 
 
 def box_points(lo: Vec, hi: Vec):
@@ -171,9 +166,7 @@ def cross_check(X, lo: Vec, hi: Vec, seed: int = 0) -> CountReport:
     """
     X = [tuple(a) for a in X]
     lo, hi = tuple(lo), tuple(hi)
-    cert = _require_certificate(X)
-    if rank(X) != len(X[0]):
-        raise ValueError("system is rank-deficient")
+    cert = check_system(X)
 
     rf = toric_reduce(X)
     spot_check(rf.sum, laplace_generating(X), X, seed)

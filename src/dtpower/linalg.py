@@ -270,3 +270,25 @@ def pointedness_certificate(X):
     if not all(cert.pairing(a) >= 1 for a in X):
         raise InvariantError(f"Fourier-Motzkin certificate {cert.xi} fails on {X}")
     return cert
+
+
+def check_system(X) -> PointedCertificate:
+    """The pointedness certificate of X, after checking that X is a system
+    the engines can count: nonempty, all of one dimension, free of zero
+    vectors, full rank and pointed.  Raises ValueError, with the message
+    the CLI prints, for the first check that fails."""
+    if not X:
+        raise ValueError("no vectors in the system")
+    s = len(X[0])
+    for i, a in enumerate(X, 1):
+        if len(a) != s:
+            raise ValueError(f"ragged system: vector {i} has {len(a)} entries, expected {s}")
+        if is_zero(a):
+            raise ValueError(f"vector {i} is the zero vector, which is not allowed")
+    r = rank(X)
+    if r != s:
+        raise ValueError(f"rank-deficient system: rank {r} < dimension {s}")
+    cert = pointedness_certificate(X)
+    if cert is None:
+        raise ValueError("system is not pointed: a nonzero nonnegative combination vanishes")
+    return cert

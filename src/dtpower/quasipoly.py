@@ -197,7 +197,9 @@ def eval_closed_box(cf: ClosedForm, lo: Vec, hi: Vec) -> dict[Vec, int]:
     the last coordinate t, lo_k <= x_k + t * c_k <= hi_k for every k with c
     the last basis vector, so the walk meets only lattice points in the box.
     """
-    s = len(lo)
+    s = len(cf.source[0])
+    if len(lo) != s or len(hi) != s:
+        raise ValueError(f"box corners {tuple(lo)} and {tuple(hi)} do not have dimension {s}")
     acc: dict[Vec, Fraction] = {}
     corners = list(product(*[(l, h) for l, h in zip(lo, hi)]))
     for p in cf.pieces:

@@ -25,8 +25,8 @@ from .errors import InvariantError
 from .expalg import (DenomFactor, ExpRatSum, ExpRatTerm, geometric_factor,
                      laplace_generating, make_sum, make_term, monomial,
                      spot_check)
-from .linalg import (IntegerRelation, Vec, det_adj, integer_relation, is_zero,
-                     pointedness_certificate, rank, scale, vadd)
+from .linalg import (IntegerRelation, Vec, check_system, det_adj,
+                     integer_relation, is_zero, rank, scale, vadd)
 
 
 @dataclass(frozen=True)
@@ -157,27 +157,22 @@ def toric_reduce(X, check: bool = False, seed: int = 0) -> ReducedForm:
     """Fold absorb_vector over X, starting from the unit term, in the fold
     order chosen by choose_fold.
 
-    Requires X full-rank and pointed.  With check=True every absorption step
+    X must pass linalg.check_system.  With check=True every absorption step
     of the chosen fold is verified numerically against the partial product
     at seeded generic points.  The result always passes the structural
     invariant checks of assert_reduced_invariants; its source is X in the
     caller's order.
     """
     X = [tuple(a) for a in X]
-    if not X or any(is_zero(a) for a in X):
-        raise ValueError("system must be nonempty with nonzero vectors")
-    s = len(X[0])
-    if rank(X) != s:
-        raise ValueError(f"system is rank-deficient: rank {rank(X)} < dimension {s}")
-    if pointedness_certificate(X) is None:
-        raise ValueError("system is not pointed")
+    check_system(X)
 
-    order, prefixes = choose_fold(X)
-    if check:
-        for step, acc in enumerate(prefixes):
-            spot_check(acc, laplace_generating([X[i] for i in order[:step + 1]]), X, seed)
+    order, reduced = choose_fold(X)
+    if check:  # each step of the order; the last one is the sum returned
+        for k in range(1, len(X) + 1):
+            part = reduced if k == len(X) else _fold(X, order[:k])
+            spot_check(part, laplace_generating([X[i] for i in order[:k]]), X, seed)
 
-    rf = ReducedForm(tuple(X), prefixes[-1])
+    rf = ReducedForm(tuple(X), reduced)
     assert_reduced_invariants(rf)
     return rf
 
@@ -196,8 +191,19 @@ def fold_step(acc: ExpRatSum, a: Vec, cap: float = math.inf) -> ExpRatSum | None
     return make_sum(out)
 
 
-def choose_fold(X) -> tuple[list[int], list[ExpRatSum]]:
-    """Fold order for X and the partial sums after each of its steps.
+def _fold(X, order, cap: float = math.inf) -> ExpRatSum | None:
+    """The unit term folded through X[i] for i in order; None as soon as a
+    step carries more than cap distinct terms."""
+    acc = make_sum([make_term(1, (0,) * len(X[0]))])
+    for i in order:
+        acc = fold_step(acc, X[i], cap)
+        if acc is None:
+            return None
+    return acc
+
+
+def choose_fold(X) -> tuple[list[int], ExpRatSum]:
+    """Fold order for X and the sum its fold gives.
 
     Every sum of a complete fold is t_X's generating function; they differ
     only in their number of terms.  The search seeds one greedy fold with
@@ -211,7 +217,6 @@ def choose_fold(X) -> tuple[list[int], list[ExpRatSum]]:
     has more terms than the input-order fold.
     """
     n, s = len(X), len(X[0])
-    unit = make_sum([make_term(1, (0,) * s)])
     seeds = []
     for subset in combinations(range(n), s):
         solved = det_adj(tuple(X[i] for i in subset))
@@ -219,14 +224,9 @@ def choose_fold(X) -> tuple[list[int], list[ExpRatSum]]:
             seeds.append((solved[0], subset))
     seeds.sort()
 
-    best: tuple[list[int], list[ExpRatSum]] | None = None
-    best_count = math.inf
+    best, best_count = None, math.inf
     for _, subset in seeds:
-        order, prefixes = list(subset), []
-        acc = unit
-        for i in subset:
-            acc = fold_step(acc, X[i])
-            prefixes.append(acc)
+        order, acc = list(subset), _fold(X, subset)
         rest = [i for i in range(n) if i not in subset]
         while rest:
             pick, step = None, None
@@ -239,21 +239,13 @@ def choose_fold(X) -> tuple[list[int], list[ExpRatSum]]:
                 break
             rest.remove(pick)
             order.append(pick)
-            prefixes.append(step)
             acc = step
         if not rest and len(acc.terms) < best_count:
-            best, best_count = (order, prefixes), len(acc.terms)
+            best, best_count = (order, acc), len(acc.terms)
 
-    prefixes = []
-    acc = unit
-    for a in X:
-        acc = fold_step(acc, a, best_count)
-        if acc is None:
-            return best
-        prefixes.append(acc)
-    if len(acc.terms) <= best_count:
-        return list(range(n)), prefixes
-    return best
+    # a capped fold that completes has at most cap terms
+    acc = _fold(X, range(n), best_count)
+    return best if acc is None else (list(range(n)), acc)
 
 
 def assert_reduced_invariants(rf: ReducedForm) -> None:

@@ -1,7 +1,7 @@
 """The fold order chosen by toric_reduce: counts never depend on it, and the
 chosen fold is never larger than the input-order fold."""
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dtpower.engines import DMContext, box_points
@@ -51,6 +51,9 @@ def test_counts_do_not_depend_on_the_order(data):
 
 @FEW
 @given(pointed_systems())
+# input order ties with the greedy search here, with a different sum
+@example([(1, 0), (2, 2), (0, -1), (0, -1)])
+@example([(1, 2), (1, -2), (1, 1), (2, 2)])
 def test_never_more_terms_than_input_order(X):
     chosen = toric_reduce(X).sum
     reference = input_order_fold(X)

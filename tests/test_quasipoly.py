@@ -197,6 +197,17 @@ class TestBoxWalk:
             for a in box_points(lo, hi):
                 assert table.get(a, 0) == eval_closed(cf, a)
 
+    @pytest.mark.parametrize("lo,hi", [
+        ((0, 2, 0), (0, 2, 0)),   # zip would cut it to (0, 2) and count 4
+        ((0,), (0,)),
+        ((0, 0), (1, 1, 1)),
+    ])
+    def test_box_of_another_dimension_rejected(self, lo, hi):
+        cf = closed_form(EX2)
+        assert eval_closed(cf, (0, 2)) == 2
+        with pytest.raises(ValueError, match="dimension 2"):
+            eval_closed_box(cf, lo, hi)
+
     def test_corpus_reaches_every_clip_branch(self):
         # last basis vectors with positive, negative and zero coordinates
         lasts = [p.basis[-1] for i in range(len(CORPUS)) for p in corpus_form(i).pieces

@@ -1,0 +1,64 @@
+"""Every entry point that takes a system X rejects an invalid one the same
+way, through linalg.check_system: the library with ValueError, the CLI with
+exit 2 and the same message."""
+
+import pytest
+
+from dtpower.cli import main
+from dtpower.engines import DMContext, brute_force_count, cross_check
+from dtpower.linalg import check_system
+from dtpower.quasipoly import closed_form
+from dtpower.toric import toric_reduce
+
+INVALID = {
+    "empty": ([], "no vectors"),
+    "ragged": ([(1, 0), (0,)], "ragged"),
+    "zero vector": ([(1, 0), (0, 0)], "zero vector"),
+    "rank-deficient": ([(1, 0), (2, 0)], "rank-deficient"),
+    "not pointed": ([(1,), (-1,)], "not pointed"),
+}
+
+
+def run_cli(X, tmp_path, capsys):
+    f = tmp_path / "sys.txt"
+    f.write_text("".join(" ".join(map(str, v)) + "\n" for v in X))
+    code = main(["reduce", str(f)])
+    return code, capsys.readouterr().err
+
+
+ENTRY_POINTS = {
+    "toric_reduce": toric_reduce,
+    "cross_check": lambda X: cross_check(X, (0, 0), (1, 1)),
+    "closed_form": closed_form,
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS) + ["dtpower reduce"])
+def test_invalid_system_rejected(entry, case, tmp_path, capsys):
+    X, fragment = INVALID[case]
+    if entry == "dtpower reduce":
+        code, err = run_cli(X, tmp_path, capsys)
+        assert code == 2
+        assert err.startswith("error: ") and fragment in err
+    else:
+        with pytest.raises(ValueError, match=fragment):
+            ENTRY_POINTS[entry](X)
+
+
+def test_valid_system_gives_its_certificate():
+    X = [(1, 0), (0, 1), (-1, 2)]
+    cert = check_system(X)
+    assert all(cert.pairing(a) >= 1 for a in X)
+
+
+def test_dm_context_takes_a_pointed_rank_deficient_system():
+    # the removal identity counts subsystems such as {(1,0), (2,0)}
+    X = [(1, 0), (2, 0)]
+    ctx = DMContext(X)
+    for a in range(6):
+        want = brute_force_count(X, (a, 0), ctx.cert)
+        assert ctx.count((a, 0)) == want == a // 2 + 1
+    assert ctx.count((1, 1)) == 0
+    with pytest.raises(ValueError, match="not pointed"):
+        DMContext([(1,), (-1,)])
