@@ -6,8 +6,7 @@ from .engines import (CountReport, DMContext, brute_force_count, cross_check,
                       dm_count, independent_count)
 from .errors import InvariantError
 from .linalg import (IntegerRelation, PointedCertificate, integer_relation,
-                     orth_complement, pointedness_certificate, rank,
-                     solve_square)
+                     pointedness_certificate, rank)
 from .quasipoly import (ClosedForm, ConePiece, MultiPoly, closed_form,
                         eval_closed, support_membership)
 from .toric import ReducedForm, toric_reduce
@@ -15,8 +14,8 @@ from .toric import ReducedForm, toric_reduce
 __all__ = [
     "CountReport", "DMContext", "brute_force_count", "cross_check",
     "dm_count", "independent_count", "InvariantError", "IntegerRelation",
-    "PointedCertificate", "integer_relation", "orth_complement",
-    "pointedness_certificate", "rank", "solve_square", "ClosedForm",
+    "PointedCertificate", "integer_relation", "pointedness_certificate",
+    "rank", "ClosedForm",
     "ConePiece", "MultiPoly", "closed_form", "eval_closed",
     "support_membership", "ReducedForm", "toric_reduce",
 ]

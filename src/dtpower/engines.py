@@ -32,43 +32,26 @@ class CountReport:
 
 
 def brute_force_count(X, alpha, certificate: PointedCertificate) -> int:
-    """Exhaustive count of beta in N^n with sum beta_i a_i == alpha.
-
-    The certificate bounds each coordinate: beta_i <= <xi,alpha>/<xi,a_i>,
-    and the depth-first walk prunes on the remaining certificate budget.
-    """
-    xs, _ = certificate.scaled()
+    """Exhaustive count of beta in N^n with sum beta_i a_i == alpha: the
+    one-point box of brute_force_box."""
     alpha = tuple(alpha)
-    budget = dot(xs, alpha)
-    if budget < 0:
-        return 0
-    X = [tuple(a) for a in X]
-    weights = [dot(xs, a) for a in X]
-    n = len(X)
-
-    def walk(i: int, residual: Vec, b: int) -> int:
-        if i == n:
-            return 1 if all(c == 0 for c in residual) else 0
-        a, w = X[i], weights[i]
-        total = 0
-        for j in range(b // w + 1):
-            total += walk(i + 1, tuple(r - j * c for r, c in zip(residual, a)),
-                          b - j * w)
-        return total
-
-    return walk(0, alpha, budget)
+    return brute_force_box(X, alpha, alpha, certificate).get(alpha, 0)
 
 
 def brute_force_box(X, lo: Vec, hi: Vec, certificate: PointedCertificate) -> dict[Vec, int]:
     """Counts for every point of the box by one exhaustive enumeration.
 
     Enumerates all beta whose certificate pairing fits below the box maximum
-    and histograms sum beta_i a_i.  Equivalent to calling brute_force_count
-    per point: pairings only grow along a branch, so nothing in the box is
-    pruned away.
+    and histograms sum beta_i a_i.  The certificate bounds each coordinate:
+    beta_i <= cap/<xi,a_i>, and pairings only grow along a branch, so nothing
+    in the box is pruned away.  Raises ValueError for a box whose corners do
+    not have X's dimension.
     """
-    xs, _ = certificate.scaled()
     X = [tuple(a) for a in X]
+    s = len(X[0])
+    if len(lo) != s or len(hi) != s:
+        raise ValueError(f"box corners {tuple(lo)} and {tuple(hi)} do not have dimension {s}")
+    xs, _ = certificate.scaled()
     weights = [dot(xs, a) for a in X]
     cap = sum(max(x * l, x * h) for x, l, h in zip(xs, lo, hi))
     n = len(X)
@@ -84,7 +67,7 @@ def brute_force_box(X, lo: Vec, hi: Vec, certificate: PointedCertificate) -> dic
             walk(i + 1, tuple(p + j * c for p, c in zip(point, a)), used + j * w)
 
     if cap >= 0:
-        walk(0, (0,) * len(lo), 0)
+        walk(0, (0,) * s, 0)
     return counts
 
 

@@ -1,7 +1,7 @@
 """Formal algebra of exponential-rational expressions.
 
 A term is q * e^{<c,x>} / prod_a (1 - e^{-<a,x>})^{h_a} with q a nonzero
-rational, c an integer vector and the a nonzero integer vectors.  Sums of
+integer, c an integer vector and the a nonzero integer vectors.  Sums of
 such terms are kept normalized: denominators sorted, duplicate vectors
 merged by adding powers, terms merged on the (shift, denominator) key.
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvariantError
 from .linalg import Vec, is_zero, pointedness_certificate, scale, vadd
@@ -30,15 +29,15 @@ class SingularPoint(Exception):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpMonomial:
-    """q * e^{<shift, x>} with q != 0."""
+    """q * e^{<shift, x>} with q a nonzero int."""
 
-    coeff: Fraction
+    coeff: int
     shift: Vec
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DenomFactor:
     """(1 - e^{-<vector, x>})^power in a denominator; vector != 0, power >= 1."""
 
@@ -46,7 +45,7 @@ class DenomFactor:
     power: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpRatTerm:
     num: ExpMonomial
     denom: tuple[DenomFactor, ...]
@@ -59,14 +58,15 @@ class ExpRatTerm:
         return sum(f.power for f in self.denom)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpRatSum:
     terms: tuple[ExpRatTerm, ...]
 
 
 def make_term(coeff, shift: Vec, factors=()) -> ExpRatTerm:
     """Build a term, merging duplicate denominator vectors and sorting."""
-    coeff = Fraction(coeff)
+    if type(coeff) is not int:
+        raise ValueError(f"term coefficient must be an int, not {type(coeff).__name__}")
     if coeff == 0:
         raise ValueError("zero coefficient in term")
     merged: dict[Vec, int] = {}
@@ -82,17 +82,13 @@ def make_term(coeff, shift: Vec, factors=()) -> ExpRatTerm:
 
 def make_sum(terms) -> ExpRatSum:
     """Normalize: merge terms sharing (shift, denom), drop zeros, sort."""
-    acc: dict[tuple, Fraction] = {}
+    acc: dict[tuple, int] = {}
     for t in terms:
-        acc[t.key] = acc.get(t.key, Fraction(0)) + t.num.coeff
+        acc[t.key] = acc.get(t.key, 0) + t.num.coeff
     out = [ExpRatTerm(ExpMonomial(c, shift), denom)
            for (shift, denom), c in acc.items() if c != 0]
     out.sort(key=lambda t: t.key)
     return ExpRatSum(tuple(out))
-
-
-def normalize(s: ExpRatSum) -> ExpRatSum:
-    return make_sum(s.terms)
 
 
 def monomial(coeff, shift: Vec) -> ExpRatSum:
@@ -107,14 +103,11 @@ def add(a: ExpRatSum, b: ExpRatSum) -> ExpRatSum:
     return make_sum(a.terms + b.terms)
 
 
-def mul_terms(a: ExpRatTerm, b: ExpRatTerm) -> ExpRatTerm:
-    return make_term(a.num.coeff * b.num.coeff,
-                     vadd(a.num.shift, b.num.shift),
-                     a.denom + b.denom)
-
-
 def mul(a: ExpRatSum, b: ExpRatSum) -> ExpRatSum:
-    return make_sum([mul_terms(ta, tb) for ta in a.terms for tb in b.terms])
+    return make_sum([make_term(ta.num.coeff * tb.num.coeff,
+                               vadd(ta.num.shift, tb.num.shift),
+                               ta.denom + tb.denom)
+                     for ta in a.terms for tb in b.terms])
 
 
 def laplace_generating(X) -> ExpRatTerm:
@@ -158,36 +151,46 @@ def random_generic_point(vectors, seed) -> tuple[float, ...]:
     Built from the pointedness certificate plus a small seeded perturbation;
     pairings are kept inside [0.1, 5] for comfortable float evaluation.
     """
+    return _generic_points(vectors, [seed])[0]
+
+
+def _generic_points(vectors, seeds) -> list[tuple[float, ...]]:
+    """random_generic_point(vectors, seed) for each seed, from one
+    pointedness certificate."""
     vectors = [tuple(v) for v in vectors]
     cert = pointedness_certificate(vectors)
     if cert is None:
         raise ValueError("system is not pointed; no generic point available")
-    rng = random.Random(seed)
     xi = [float(c) for c in cert.xi]
     big = max(float(cert.pairing(a)) for a in vectors)
     t = max(0.15, min(1.0, 4.0 / big))
     span = max(sum(abs(c) for c in a) for a in vectors)
-    eps = 0.05 * t / span
-    fallback = None
-    for _ in range(50):
-        x = tuple(t * c + rng.uniform(-eps, eps) for c in xi)
-        pairings = [dot_f(a, x) for a in vectors]
-        if min(pairings) >= 0.1:
-            if max(pairings) <= 5.0:
-                return x
-            fallback = fallback or x
-        eps /= 2
-    if fallback is not None:
-        # certificate forces a wide pairing spread; lower bound still holds
-        return fallback
-    raise RuntimeError("could not place a generic point for this system")
+    points = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        eps = 0.05 * t / span
+        fallback = None
+        for _ in range(50):
+            x = tuple(t * c + rng.uniform(-eps, eps) for c in xi)
+            pairings = [dot_f(a, x) for a in vectors]
+            if min(pairings) >= 0.1:
+                if max(pairings) <= 5.0:
+                    break
+                fallback = fallback or x
+            eps /= 2
+        else:
+            if fallback is None:
+                raise RuntimeError("could not place a generic point for this system")
+            # certificate forces a wide pairing spread; lower bound still holds
+            x = fallback
+        points.append(x)
+    return points
 
 
 def spot_check(got: ExpRatSum, want: ExpRatSum, X, seed: int = 0) -> None:
     """Raise InvariantError unless got and want agree, to relative
     IDENTITY_RTOL, at the five points random_generic_point(X, seed + k)."""
-    for k in range(5):
-        x = random_generic_point(X, seed + k)
+    for x in _generic_points(X, range(seed, seed + 5)):
         g, w = eval_numeric(got, x), eval_numeric(want, x)
         if abs(g - w) > IDENTITY_RTOL * (1 + abs(w)):
             raise InvariantError(f"generating-function identity fails at {x}: {g} vs {w}")

@@ -22,9 +22,9 @@ from itertools import combinations
 
 from . import expalg
 from .errors import InvariantError
-from .expalg import (DenomFactor, ExpRatSum, ExpRatTerm, geometric_factor,
-                     laplace_generating, make_sum, make_term, monomial,
-                     spot_check)
+from .expalg import (DenomFactor, ExpMonomial, ExpRatSum, ExpRatTerm,
+                     geometric_factor, laplace_generating, make_sum, make_term,
+                     monomial, spot_check)
 from .linalg import (IntegerRelation, Vec, check_system, det_adj,
                      integer_relation, is_zero, rank, scale, vadd)
 
@@ -66,25 +66,27 @@ def expand_dependent(relation: IntegerRelation, basis) -> list[tuple[ExpRatSum, 
     return out
 
 
-def partial_fraction(y0_factor: DenomFactor, gammas, term: ExpRatTerm) -> list[ExpRatTerm]:
-    """Decompose term / y0^power so one gamma-indexed factor is eliminated.
+def partial_fraction(y0_factor: DenomFactor, gammas, denom) -> list[ExpRatTerm]:
+    """Decompose 1 / (y0^power * prod denom) so one gamma-indexed factor is
+    eliminated.
 
     gammas is a list of (ExpRatSum, vector) pairs with y0 = sum gamma_v * y_v;
-    each listed vector must appear in term's denominator.  Repeatedly applies
+    each listed vector must appear in denom, a tuple of DenomFactor.  Applies
     1/(y0^t * prod y_v^{h_v}) = sum_v gamma_v/(y0^{t+1} * y_v^{h_v-1} * ...)
     until every branch has emptied one of the y_v, then reassembles terms.
-    Total denominator power grows by exactly y0_factor.power per output term.
+    Each output term's total denominator power exceeds denom's by exactly
+    y0_factor.power.
     """
     involved = {v: g for g, v in gammas}
     powers = {}
     passive = []
-    for f in term.denom:
+    for f in denom:
         if f.vector in involved:
             powers[f.vector] = f.power
         else:
             passive.append(f)
     if len(powers) != len(involved):
-        raise ValueError("term denominator is missing a gamma factor")
+        raise ValueError("denominator is missing a gamma factor")
 
     vecs = sorted(powers)
     start = tuple(powers[v] for v in vecs)
@@ -112,16 +114,17 @@ def partial_fraction(y0_factor: DenomFactor, gammas, term: ExpRatTerm) -> list[E
         residue += [DenomFactor(v, p) for v, p in zip(vecs, pw) if p > 0]
         residue += passive
         for mono in num.terms:
-            out.append(make_term(mono.num.coeff * term.num.coeff,
-                                 vadd(mono.num.shift, term.num.shift),
-                                 residue))
+            out.append(make_term(mono.num.coeff, mono.num.shift, residue))
     return out
 
 
 @lru_cache(maxsize=4096)
-def _absorption_data(vecs: tuple[Vec, ...], a: Vec):
-    """Shared rewrite data for absorbing a into any term with denominators vecs."""
-    rel = integer_relation(list(vecs), a)
+def _absorption_data(denom: tuple[DenomFactor, ...], a: Vec) -> tuple[ExpRatTerm, ...]:
+    """The normalized terms of 1 / (denom * (1 - e^{-<a,x>})) for a in the
+    span of denom's vectors but not among them.  Every term with this
+    denominator absorbs a through these terms, scaled by its numerator."""
+    vecs = [f.vector for f in denom]
+    rel = integer_relation(vecs, a)
     if rel is None:
         raise InvariantError(f"{a} is outside the span of the denominators {vecs}")
     kept = [(m, v) for m, v in zip(rel.coefficients, vecs) if m != 0]
@@ -129,8 +132,8 @@ def _absorption_data(vecs: tuple[Vec, ...], a: Vec):
     sub_rel = IntegerRelation(rel.multiplier, tuple(m for m, _ in kept))
     beta = geometric_factor(a, rel.multiplier)
     y0 = DenomFactor(scale(a, rel.multiplier), 1)
-    gammas = tuple((g, sub_basis[j]) for g, j in expand_dependent(sub_rel, sub_basis))
-    return y0, gammas, beta
+    gammas = [(g, sub_basis[j]) for g, j in expand_dependent(sub_rel, sub_basis)]
+    return expalg.mul(make_sum(partial_fraction(y0, gammas, denom)), beta).terms
 
 
 def absorb_vector(term: ExpRatTerm, a: Vec) -> list[ExpRatTerm]:
@@ -139,18 +142,18 @@ def absorb_vector(term: ExpRatTerm, a: Vec) -> list[ExpRatTerm]:
     Independent vectors are appended, exact repeats merge into the power, and
     a dependent vector goes through integer_relation + expand_dependent +
     partial_fraction, keeping every output denominator set independent.
+    That rewrite depends only on term's denominator and a, so it is made
+    once for the unit numerator and scaled by term's.
     """
     a = tuple(a)
     if is_zero(a):
         raise ValueError("cannot absorb the zero vector")
-    new_factor = DenomFactor(a, 1)
+    q, c = term.num.coeff, term.num.shift
     vecs = [f.vector for f in term.denom]
     if a in vecs or rank(vecs + [a]) == len(vecs) + 1:
-        return [make_term(term.num.coeff, term.num.shift, term.denom + (new_factor,))]
-
-    y0, gammas, beta = _absorption_data(tuple(vecs), a)
-    pieces = make_sum(partial_fraction(y0, list(gammas), term))
-    return list(expalg.mul(pieces, beta).terms)
+        return [make_term(q, c, term.denom + (DenomFactor(a, 1),))]
+    return [ExpRatTerm(ExpMonomial(q * t.num.coeff, vadd(c, t.num.shift)), t.denom)
+            for t in _absorption_data(term.denom, a)]
 
 
 def toric_reduce(X, check: bool = False, seed: int = 0) -> ReducedForm:

@@ -42,6 +42,13 @@ class TestBruteForce:
         for a in itertools.product(range(-4, 7), repeat=2):
             assert table.get(a, 0) == brute_force_count(EX2, a, cert2)
 
+    @pytest.mark.parametrize("lo,hi", [((0,), (3,)), ((0, 0, 0), (3, 3, 3))])
+    def test_box_of_another_dimension_rejected(self, cert2, lo, hi):
+        with pytest.raises(ValueError, match="do not have dimension 2"):
+            brute_force_box(EX2, lo, hi, cert2)
+        with pytest.raises(ValueError, match="do not have dimension 2"):
+            brute_force_count(EX2, hi, cert2)
+
 
 class TestIndependentCount:
     def test_scalar_multiple(self):
@@ -167,6 +174,19 @@ class TestCrossCheck:
         monkeypatch.setattr("dtpower.quasipoly.toric_reduce", counted)
         assert cross_check(EX2, (-3, -3), (6, 6)).ok
         assert len(calls) == 1
+
+    def test_three_certificates(self, monkeypatch):
+        # cross_check's own system check, toric_reduce's, and one for the
+        # five points of the spot check
+        calls = []
+
+        def counted(X):
+            calls.append(X)
+            return pointedness_certificate(X)
+        for module in ("linalg", "expalg", "engines"):
+            monkeypatch.setattr(f"dtpower.{module}.pointedness_certificate", counted)
+        assert cross_check(EX2, (-3, -3), (6, 6)).ok
+        assert len(calls) == 3
 
     def test_engine_agreement_random_systems(self, random_systems):
         for i, X in enumerate(random_systems[:12]):

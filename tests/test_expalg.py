@@ -1,12 +1,14 @@
 import math
+from fractions import Fraction
 
 import pytest
 
+from dtpower import expalg
 from dtpower.errors import InvariantError
 from dtpower.expalg import (DenomFactor, SingularPoint, add, eval_numeric,
                             geometric_factor, laplace_generating, make_sum,
-                            make_term, monomial, mul, normalize,
-                            random_generic_point, spot_check)
+                            make_term, monomial, mul, random_generic_point,
+                            spot_check)
 
 RTOL = 1e-9
 
@@ -50,10 +52,10 @@ class TestAlgebra:
         s = add(monomial(2, (-1,)), monomial(-2, (-1,)))
         assert s.terms == ()
 
-    def test_normalize_idempotent(self):
-        s = add(monomial(1, (0, 0)), monomial(3, (1, -2)))
-        assert normalize(s) == s
-        assert normalize(normalize(s)) == normalize(s)
+    @pytest.mark.parametrize("coeff", [Fraction(1), Fraction(1, 2), 1.0, True])
+    def test_non_int_coefficient_rejected(self, coeff):
+        with pytest.raises(ValueError, match="must be an int"):
+            make_term(coeff, (0,))
 
     def test_ring_distributivity_numeric(self):
         vs = [(1, 0), (0, 1), (-1, 2)]
@@ -134,13 +136,29 @@ class TestSpotCheck:
     X = [(1,)]
     WANT = make_sum([laplace_generating(X)])
 
-    def split(self, q):
+    def split(self, *extra):
         d = [DenomFactor((2,), 1)]
-        return make_sum([make_term(1, (0,), d), make_term(q, (-1,), d)])
+        return make_sum([make_term(1, (0,), d), make_term(1, (-1,), d)]
+                        + [make_term(1, (-k,), d) for k in extra])
 
     def test_identity_passes(self):
-        spot_check(self.split(1), self.WANT, self.X, seed=3)
+        spot_check(self.split(), self.WANT, self.X, seed=3)
 
     def test_mismatch_raises(self):
+        # e^{-12x}/(1-e^{-2x}) too many: about 4e-6 relative near x = 1
         with pytest.raises(InvariantError, match="identity fails"):
-            spot_check(self.split(1 + 1e-6), self.WANT, self.X)
+            spot_check(self.split(12), self.WANT, self.X)
+
+    def test_five_points_from_one_certificate(self, monkeypatch):
+        X = [(1, 0), (0, 1), (-1, 2)]
+        want = [random_generic_point(X, 4 + k) for k in range(5)]
+        gen = make_sum([laplace_generating(X)])
+        seen, certs = [], []
+        evaluate, certify = expalg.eval_numeric, expalg.pointedness_certificate
+        monkeypatch.setattr(expalg, "eval_numeric",
+                            lambda e, x: seen.append(x) or evaluate(e, x))
+        monkeypatch.setattr(expalg, "pointedness_certificate",
+                            lambda vs: certs.append(vs) or certify(vs))
+        spot_check(gen, gen, X, seed=4)
+        assert list(dict.fromkeys(seen)) == want
+        assert len(certs) == 1

@@ -1,14 +1,19 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import EX1, EX2, random_pointed_systems
 from dtpower.expalg import (DenomFactor, ExpRatSum, add, eval_numeric,
                             laplace_generating, make_sum, make_term, monomial,
-                            mul, random_generic_point)
+                            mul, random_generic_point, spot_check)
 from dtpower.errors import InvariantError
 from dtpower.linalg import IntegerRelation
 from dtpower.toric import (ReducedForm, absorb_vector, assert_reduced_invariants,
                            expand_dependent, partial_fraction, toric_reduce)
 
 RTOL = 1e-9
+
+CORPUS = random_pointed_systems()
 
 
 def one_minus_exp(v):
@@ -73,7 +78,7 @@ class TestPartialFraction:
         # 1/(y0*y1) with y0 = 2*y1  ->  2/y0^2
         term = make_term(1, (0,), [DenomFactor((1,), 1)])
         y0 = DenomFactor((2,), 1)
-        out = partial_fraction(y0, [(monomial(2, (0,)), (1,))], term)
+        out = partial_fraction(y0, [(monomial(2, (0,)), (1,))], term.denom)
         assert make_sum(out) == make_sum(
             [make_term(2, (0,), [DenomFactor((2,), 2)])])
 
@@ -82,7 +87,7 @@ class TestPartialFraction:
         term = make_term(1, (0, 0), [DenomFactor((1, 0), 1), DenomFactor((0, 1), 1)])
         y0 = DenomFactor((1, 1), 1)
         gammas = [(monomial(1, (0, 0)), (1, 0)), (monomial(1, (0, 0)), (0, 1))]
-        out = make_sum(partial_fraction(y0, gammas, term))
+        out = make_sum(partial_fraction(y0, gammas, term.denom))
         expected = make_sum([
             make_term(1, (0, 0), [DenomFactor((1, 1), 2), DenomFactor((0, 1), 1)]),
             make_term(1, (0, 0), [DenomFactor((1, 1), 2), DenomFactor((1, 0), 1)]),
@@ -94,7 +99,7 @@ class TestPartialFraction:
         term = make_term(1, (0,), [DenomFactor((1,), 2)])
         y0 = DenomFactor((2,), 1)
         gamma = add(monomial(1, (0,)), monomial(1, (-1,)))
-        out = make_sum(partial_fraction(y0, [(gamma, (1,))], term))
+        out = make_sum(partial_fraction(y0, [(gamma, (1,))], term.denom))
         expected = make_sum([
             make_term(1, (0,), [DenomFactor((2,), 3)]),
             make_term(2, (-1,), [DenomFactor((2,), 3)]),
@@ -106,7 +111,7 @@ class TestPartialFraction:
         term = make_term(1, (0, 0), [DenomFactor((1, 0), 2), DenomFactor((0, 1), 3)])
         y0 = DenomFactor((1, 1), 1)
         gammas = [(monomial(1, (0, 0)), (1, 0)), (monomial(1, (0, 0)), (0, 1))]
-        for t in partial_fraction(y0, gammas, term):
+        for t in partial_fraction(y0, gammas, term.denom):
             assert t.total_power() == 1 + term.total_power()
 
 
@@ -136,6 +141,21 @@ class TestAbsorbVector:
         with pytest.raises(ValueError):
             absorb_vector(term, (0,))
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_scaled_shifted_numerator(self, data):
+        # a reduced term of a corpus system, with numerator q * e^{<c,x>},
+        # absorbing one more vector of the system
+        X = data.draw(st.sampled_from(CORPUS))
+        s = len(X[0])
+        denom = data.draw(st.sampled_from(toric_reduce(X).sum.terms)).denom
+        q = data.draw(st.integers(1, 5)) * data.draw(st.sampled_from((1, -1)))
+        c = data.draw(st.tuples(*[st.integers(-2, 2)] * s))
+        a = data.draw(st.sampled_from(X))
+        got = make_sum(absorb_vector(make_term(q, c, denom), a))
+        want = make_sum([make_term(q, c, denom + (DenomFactor(a, 1),))])
+        spot_check(got, want, X, seed=data.draw(st.integers(0, 100)))
+
 
 class TestToricReduce:
     def test_scalar_example_exact_terms(self):
@@ -164,6 +184,10 @@ class TestToricReduce:
             want = eval_numeric(ref, x)
             got = eval_numeric(rf.sum, x)
             assert abs(got - want) <= RTOL * (1 + abs(want))
+
+    def test_coefficients_are_int(self):
+        for X in [EX1, EX2] + CORPUS:
+            assert all(type(t.num.coeff) is int for t in toric_reduce(X).sum.terms)
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValueError):
