@@ -214,7 +214,8 @@ def det_adj(basis: tuple[Vec, ...]):
     d = |det B| > 0 and adj[i] / d is row i of B^{-1}: lambda_i =
     <adj[i], u> / d solves sum(lambda_j * basis[j]) == u.  Row adj[i] is
     orthogonal to every column but basis[i] and pairs with it to d.  Cached
-    itself, because support_membership asks for it per piece and point.
+    itself, because inverse_laplace_term asks for it once per reduced term
+    and the terms share a few bases.
     """
     s = len(basis)
     if any(len(b) != s for b in basis):

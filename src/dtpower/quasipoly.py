@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from .errors import InvariantError
 from .expalg import ExpRatTerm
@@ -107,6 +108,51 @@ class ClosedForm:
     source: tuple[Vec, ...]
     pieces: tuple[ConePiece, ...]
 
+    @cached_property
+    def _compiled(self) -> _Compiled:
+        """Built on the first evaluation and kept on this instance only; a
+        piece's polynomial changed in place after that is not seen."""
+        return _Compiled(self.pieces)
+
+
+class _Compiled:
+    """The pieces of a closed form, arranged for evaluation in int.
+
+    denominator is L, the lcm of every coefficient's denominator.  bases
+    holds (adj, d, buckets) once per basis, where buckets maps the residue
+    tuple(adj.offset mod d) to the (adj.offset, numerators) of its pieces.
+    pieces holds (d, adj, numerators) in the form's piece order, for the box
+    walk.  numerators are (L * coefficient, ((k, power), ...)) per monomial.
+    """
+
+    __slots__ = ("denominator", "bases", "pieces")
+
+    def __init__(self, pieces):
+        self.denominator = lcm(*(c.denominator for p in pieces
+                                 for c in p.poly.monomials.values()))
+        solvers, self.pieces = {}, []
+        for p in pieces:
+            if p.basis not in solvers:
+                solvers[p.basis] = _solver(p.basis) + ({},)
+            d, adj, buckets = solvers[p.basis]
+            nums = tuple((int(c * self.denominator),
+                          tuple((k, e) for k, e in enumerate(exps) if e))
+                         for exps, c in p.poly.monomials.items())
+            low = tuple(dot(row, p.offset) for row in adj)
+            buckets.setdefault(tuple(x % d for x in low), []).append((low, nums))
+            self.pieces.append((d, adj, nums))
+        self.bases = [(adj, d, buckets) for d, adj, buckets in solvers.values()]
+
+
+def _numerator(nums, alpha) -> int:
+    """L times a compiled polynomial's value at alpha."""
+    total = 0
+    for v, powers in nums:
+        for k, e in powers:
+            v *= alpha[k] ** e
+        total += v
+    return total
+
 
 def _solver(basis) -> tuple[int, tuple[Vec, ...]]:
     """det_adj of a cone basis, which must be invertible."""
@@ -173,19 +219,33 @@ def merge_pieces(source, pieces) -> ClosedForm:
 
 
 def eval_closed(cf: ClosedForm, alpha) -> int:
-    """Exact count at one lattice point; always a nonnegative integer."""
+    """Exact count at one lattice point; always a nonnegative integer.
+
+    Per basis: adj.alpha, one bucket lookup on its residue mod d, and a sign
+    test adj.alpha >= adj.offset for each piece of the bucket.
+    """
     alpha = tuple(alpha)
-    total = Fraction(0)
-    for p in cf.pieces:
-        if support_membership(p.basis, p.offset, alpha):
-            total += p.poly.evaluate(alpha)
-    return _count(total, alpha)
+    if len(alpha) != len(cf.source[0]):
+        raise ValueError(f"point {alpha} does not have dimension {len(cf.source[0])}")
+    comp = cf._compiled
+    total = 0
+    for adj, d, buckets in comp.bases:
+        u = tuple([sum(r * x for r, x in zip(row, alpha)) for row in adj])
+        hits = buckets.get(tuple([x % d for x in u]))
+        if hits:
+            for low, nums in hits:
+                if all(x >= y for x, y in zip(u, low)):
+                    total += _numerator(nums, alpha)
+    return _count(total, comp.denominator, alpha)
 
 
-def _count(value: Fraction, alpha: Vec) -> int:
-    if value.denominator != 1 or value < 0:
-        raise InvariantError(f"closed form produced non-count value {value} at {alpha}")
-    return int(value)
+def _count(numerator: int, denominator: int, alpha: Vec) -> int:
+    """numerator / denominator as a count; InvariantError unless it is a
+    nonnegative integer."""
+    if numerator % denominator or numerator < 0:
+        raise InvariantError("closed form produced non-count value "
+                             f"{Fraction(numerator, denominator)} at {alpha}")
+    return numerator // denominator
 
 
 def eval_closed_box(cf: ClosedForm, lo: Vec, hi: Vec) -> dict[Vec, int]:
@@ -200,10 +260,10 @@ def eval_closed_box(cf: ClosedForm, lo: Vec, hi: Vec) -> dict[Vec, int]:
     s = len(cf.source[0])
     if len(lo) != s or len(hi) != s:
         raise ValueError(f"box corners {tuple(lo)} and {tuple(hi)} do not have dimension {s}")
-    acc: dict[Vec, Fraction] = {}
+    comp = cf._compiled
+    acc: dict[Vec, int] = {}
     corners = list(product(*[(l, h) for l, h in zip(lo, hi)]))
-    for p in cf.pieces:
-        d, adj = _solver(p.basis)
+    for p, (d, adj, poly) in zip(cf.pieces, comp.pieces):
         ranges = []
         for i in range(s - 1):
             nums = [dot(adj[i], vsub(c, p.offset)) for c in corners]
@@ -234,10 +294,10 @@ def eval_closed_box(cf: ClosedForm, lo: Vec, hi: Vec) -> dict[Vec, int]:
             else:
                 for t in range(t_lo, t_hi + 1):
                     alpha = vadd(x, scale(last, t))
-                    acc[alpha] = acc.get(alpha, Fraction(0)) + p.poly.evaluate(alpha)
+                    acc[alpha] = acc.get(alpha, 0) + _numerator(poly, alpha)
     out = {}
     for alpha, v in acc.items():
-        n = _count(v, alpha)
+        n = _count(v, comp.denominator, alpha)
         if n:
             out[alpha] = n
     return out

@@ -119,11 +119,13 @@ def partial_fraction(y0_factor: DenomFactor, gammas, denom) -> list[ExpRatTerm]:
 
 
 @lru_cache(maxsize=4096)
-def _absorption_data(denom: tuple[DenomFactor, ...], a: Vec) -> tuple[ExpRatTerm, ...]:
-    """The normalized terms of 1 / (denom * (1 - e^{-<a,x>})) for a in the
-    span of denom's vectors but not among them.  Every term with this
-    denominator absorbs a through these terms, scaled by its numerator."""
+def _absorption_data(denom: tuple[DenomFactor, ...], a: Vec) -> tuple[ExpRatTerm, ...] | None:
+    """The normalized terms of 1 / (denom * (1 - e^{-<a,x>})) for a not among
+    denom's vectors, or None when a is independent of them.  Every term with
+    this denominator absorbs a through these terms, scaled by its numerator."""
     vecs = [f.vector for f in denom]
+    if rank(vecs + [a]) == len(vecs) + 1:
+        return None
     rel = integer_relation(vecs, a)
     if rel is None:
         raise InvariantError(f"{a} is outside the span of the denominators {vecs}")
@@ -142,18 +144,19 @@ def absorb_vector(term: ExpRatTerm, a: Vec) -> list[ExpRatTerm]:
     Independent vectors are appended, exact repeats merge into the power, and
     a dependent vector goes through integer_relation + expand_dependent +
     partial_fraction, keeping every output denominator set independent.
-    That rewrite depends only on term's denominator and a, so it is made
-    once for the unit numerator and scaled by term's.
+    The independence test and that rewrite depend only on term's
+    denominator and a, so _absorption_data makes both once, for the unit
+    numerator, and the result is scaled by term's.
     """
     a = tuple(a)
     if is_zero(a):
         raise ValueError("cannot absorb the zero vector")
     q, c = term.num.coeff, term.num.shift
-    vecs = [f.vector for f in term.denom]
-    if a in vecs or rank(vecs + [a]) == len(vecs) + 1:
+    data = None if any(f.vector == a for f in term.denom) else _absorption_data(term.denom, a)
+    if data is None:
         return [make_term(q, c, term.denom + (DenomFactor(a, 1),))]
     return [ExpRatTerm(ExpMonomial(q * t.num.coeff, vadd(c, t.num.shift)), t.denom)
-            for t in _absorption_data(term.denom, a)]
+            for t in data]
 
 
 def toric_reduce(X, check: bool = False, seed: int = 0) -> ReducedForm:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -8,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EX1, EX2, random_pointed_systems
+from dtpower.cli import closed_form_from_json, closed_form_to_json
 from dtpower.engines import box_points, brute_force_count
+from dtpower.errors import InvariantError
 from dtpower.expalg import DenomFactor, make_term
-from dtpower.linalg import pointedness_certificate
-from dtpower.quasipoly import (MultiPoly, closed_form, eval_closed,
-                               eval_closed_box, inverse_laplace_term,
-                               merge_pieces, support_membership)
+from dtpower.linalg import pointedness_certificate, rank
+from dtpower.quasipoly import (ClosedForm, ConePiece, MultiPoly, closed_form,
+                               eval_closed, eval_closed_box,
+                               inverse_laplace_term, merge_pieces,
+                               support_membership)
 from dtpower.toric import toric_reduce
 
 
@@ -248,3 +252,141 @@ class TestStructure:
                 a = tuple(rng.randint(-6, 12) for _ in range(s))
                 v = eval_closed(cf, a)
                 assert isinstance(v, int) and v >= 0
+
+
+def reference_value(cf, a) -> Fraction:
+    """The closed form at a by the reference path: every piece's membership
+    test and its Fraction polynomial."""
+    return sum((p.poly.evaluate(a) for p in cf.pieces
+                if support_membership(p.basis, p.offset, a)), Fraction(0))
+
+
+def far_point(X, coeffs):
+    """sum c_i x_i: a point of the cone generated by X."""
+    return tuple(sum(c * v[k] for c, v in zip(coeffs, X)) for k in range(len(X[0])))
+
+
+@st.composite
+def corpus_points(draw):
+    """(index, point): a seeded corpus system and a point far in its cone,
+    one vector below such a point, its negative, a nudge off it, or the apex
+    of one of the system's pieces."""
+    i = draw(st.integers(0, len(CORPUS) - 1))
+    X = CORPUS[i]
+    s = len(X[0])
+    kind = draw(st.sampled_from(["far", "minus-x", "negative", "off-lattice", "apex"]))
+    a = far_point(X, draw(st.lists(st.integers(0, 1000), min_size=len(X), max_size=len(X))))
+    if kind == "minus-x":
+        x = draw(st.sampled_from(X))
+        a = tuple(c - d for c, d in zip(a, x))
+    elif kind == "negative":
+        a = tuple(-c for c in a)
+    elif kind == "off-lattice":
+        nudge = draw(st.lists(st.integers(-3, 3), min_size=s, max_size=s))
+        a = tuple(c + d for c, d in zip(a, nudge))
+    elif kind == "apex":
+        a = draw(st.sampled_from(corpus_form(i).pieces)).offset
+    return i, a
+
+
+class TestCompiledEvaluator:
+    """eval_closed and eval_closed_box evaluate a compiled form (residue
+    buckets per basis, int numerators over one denominator); they must equal
+    the reference sum over support_membership hits exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpus_points())
+    def test_matches_reference(self, case):
+        i, a = case
+        cf = corpus_form(i)
+        want = reference_value(cf, a)
+        assert eval_closed(cf, a) == want
+        assert eval_closed_box(cf, a, a) == ({a: want} if want else {})
+
+    def test_every_apex_matches_reference(self):
+        for i in range(len(CORPUS)):
+            cf = corpus_form(i)
+            for p in cf.pieces:
+                assert eval_closed(cf, p.offset) == reference_value(cf, p.offset)
+
+    def test_compiled_once_per_form(self):
+        cf = closed_form(EX2)
+        assert "_compiled" not in vars(cf)
+        eval_closed(cf, (0, 4))
+        compiled = vars(cf)["_compiled"]
+        eval_closed_box(cf, (0, 0), (3, 3))
+        assert vars(cf)["_compiled"] is compiled
+
+    def test_point_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension 2"):
+            eval_closed(closed_form(EX2), (0, 2, 0))
+
+
+def corrupted(cf, k, factor):
+    """cf with the coefficients of piece k multiplied by factor."""
+    pieces = list(cf.pieces)
+    p = pieces[k]
+    pieces[k] = ConePiece(p.basis, p.offset, p.poly.scaled(factor))
+    return ClosedForm(cf.source, tuple(pieces))
+
+
+class TestCorruptedForm:
+    """A form whose values are not counts must fail loudly in both
+    evaluators; InvariantError is raised explicitly, so python -O keeps it."""
+
+    @pytest.mark.parametrize("X", [EX1, EX2, ((1, 0), (0, 1))])
+    @pytest.mark.parametrize("factor", [Fraction(1, 2), -1])
+    def test_both_evaluators_raise(self, X, factor):
+        s = len(X[0])
+        lo, hi = (-6,) * s, (12,) * s
+        cf = closed_form(X)
+        # the first piece whose corruption the reference sees in the box
+        bad, a = next((bad, a) for bad in (corrupted(cf, k, factor) for k in range(len(cf.pieces)))
+                      for a in box_points(lo, hi)
+                      if (v := reference_value(bad, a)).denominator != 1 or v < 0)
+        with pytest.raises(InvariantError, match="non-count value"):
+            eval_closed(bad, a)
+        with pytest.raises(InvariantError, match="non-count value"):
+            eval_closed_box(bad, lo, hi)
+        with pytest.raises(InvariantError, match="non-count value"):
+            eval_closed_box(bad, a, a)
+
+
+# (i, j): removing vector j of corpus system i leaves a full-rank system
+REMOVABLE = [(i, j) for i, X in enumerate(CORPUS) for j in range(len(X))
+             if rank(X[:j] + X[j + 1:]) == len(X[0])]
+
+
+@lru_cache(maxsize=None)
+def corpus_form_without(i, j):
+    X = CORPUS[i]
+    return closed_form(X[:j] + X[j + 1:])
+
+
+class TestClosedFormProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, len(CORPUS) - 1), st.randoms(use_true_random=False))
+    def test_json_round_trip(self, i, rng):
+        cf = corpus_form(i)
+        back = closed_form_from_json(json.loads(json.dumps(closed_form_to_json(cf))))
+        assert back.source == cf.source
+        assert [(p.basis, p.offset, p.poly.monomials) for p in back.pieces] == \
+            [(p.basis, p.offset, p.poly.monomials) for p in cf.pieces]
+        X = CORPUS[i]
+        for _ in range(5):
+            a = far_point(X, [rng.randint(0, 1000) for _ in X])
+            a = tuple(c + rng.randint(-3, 3) for c in a)
+            assert eval_closed(back, a) == eval_closed(cf, a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_removal_identity_far(self, data):
+        # t_X(a) - t_X(a - x) = t_{X minus x}(a)
+        i, j = data.draw(st.sampled_from(REMOVABLE))
+        X = CORPUS[i]
+        a = far_point(X, data.draw(st.lists(st.integers(0, 1000),
+                                            min_size=len(X), max_size=len(X))))
+        below = tuple(c - d for c, d in zip(a, X[j]))
+        cf = corpus_form(i)
+        assert eval_closed(cf, a) - eval_closed(cf, below) == \
+            eval_closed(corpus_form_without(i, j), a)

@@ -3,11 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EX1, EX2, random_pointed_systems
+from dtpower import toric
 from dtpower.expalg import (DenomFactor, ExpRatSum, add, eval_numeric,
                             laplace_generating, make_sum, make_term, monomial,
                             mul, random_generic_point, spot_check)
 from dtpower.errors import InvariantError
-from dtpower.linalg import IntegerRelation
+from dtpower.linalg import IntegerRelation, rank
 from dtpower.toric import (ReducedForm, absorb_vector, assert_reduced_invariants,
                            expand_dependent, partial_fraction, toric_reduce)
 
@@ -140,6 +141,21 @@ class TestAbsorbVector:
         term = make_term(1, (0,), [DenomFactor((1,), 1)])
         with pytest.raises(ValueError):
             absorb_vector(term, (0,))
+
+    def test_independence_decided_once_per_denominator(self, monkeypatch):
+        # many terms share a denominator; rank runs once per (denominator,
+        # vector) absorbed, plus once per final term in the invariant check
+        calls = []
+
+        def counting_rank(X):
+            calls.append(X)
+            return rank(X)
+
+        monkeypatch.setattr(toric, "rank", counting_rank)
+        toric._absorption_data.cache_clear()
+        rf = toric_reduce(((0, -2), (3, -2), (-2, 1), (-2, -1)))
+        assert len(calls) == toric._absorption_data.cache_info().misses + len(rf.sum.terms)
+        toric._absorption_data.cache_clear()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
