@@ -10,6 +10,18 @@ supported on the shifted lattice cone offset + N*b_1 + ... + N*b_s with
 offset = -c - sum_i (h_i - 1) * b_i.  Summing the pieces of a full toric
 reduction evaluates, exactly, to the number of nonnegative integer solutions
 of sum beta_i a_i = alpha at every integer point.
+
+The evaluators do not test the pieces one by one.  On its first evaluation
+a ClosedForm compiles itself, once: the pieces are grouped by basis, with
+(d, adj) = det_adj(basis) once per basis, and each basis's pieces are
+bucketed by the residue adj.offset mod d.  alpha lies on a piece's cone iff
+adj.alpha = adj.offset mod d and adj.alpha >= adj.offset, so a point meets
+its pieces by one dict lookup per basis and a sign test per candidate.
+Every polynomial is stored as int numerators over one common denominator L
+of the whole form, so neither eval_closed nor eval_closed_box makes a
+Fraction per point; the count is checked once, as a nonnegative multiple
+of L.  support_membership and MultiPoly.evaluate stay as the exact
+reference.
 """
 
 from __future__ import annotations
