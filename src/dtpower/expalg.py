@@ -54,9 +54,6 @@ class ExpRatTerm:
     def key(self):
         return (self.num.shift, self.denom)
 
-    def total_power(self) -> int:
-        return sum(f.power for f in self.denom)
-
 
 @dataclass(frozen=True, slots=True)
 class ExpRatSum:
@@ -93,10 +90,6 @@ def make_sum(terms) -> ExpRatSum:
 
 def monomial(coeff, shift: Vec) -> ExpRatSum:
     return make_sum([make_term(coeff, shift)])
-
-
-def one(dim: int) -> ExpRatSum:
-    return monomial(1, (0,) * dim)
 
 
 def add(a: ExpRatSum, b: ExpRatSum) -> ExpRatSum:

@@ -112,7 +112,7 @@ class MultiPoly:
 class ConePiece:
     basis: tuple[Vec, ...]
     offset: Vec
-    poly: MultiPoly = field(compare=False)
+    poly: MultiPoly = field(hash=False)  # compared by ==, left out of hash
 
 
 @dataclass(frozen=True)

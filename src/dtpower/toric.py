@@ -7,6 +7,15 @@ vector is absorbed through a telescoping split of 1 - e^{-<m*a,x>} into the
 existing factors followed by a partial-fraction pass that eliminates one of
 them.
 
+The working sum is grouped by denominator, the short rational form of
+Barvinok and LattE: it maps each denominator, a sorted tuple of
+(vector, power) pairs, to its Laurent numerator {shift: int}.  A fold step
+absorbs each distinct denominator once, through a rewrite cached on
+(denominator, vector), and multiplies the denominator's whole numerator into
+it; it makes no dataclass per term.  The denominators of the result are the
+toric arrangement.  Only toric_reduce turns the grouped sum into an
+ExpRatSum.
+
 The reduction is order-dependent and non-unique; correctness is semantic
 (formal-identity preservation, spot-checked numerically in debug mode).
 The number of terms depends on the fold order by orders of magnitude, so
@@ -19,6 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 
 from . import expalg
 from .errors import InvariantError
@@ -27,6 +37,11 @@ from .expalg import (DenomFactor, ExpMonomial, ExpRatSum, ExpRatTerm,
                      monomial, spot_check)
 from .linalg import (IntegerRelation, Vec, check_system, det_adj,
                      integer_relation, is_zero, rank, scale, vadd)
+
+Factor = tuple[Vec, int]            # (vector, power): (1 - e^{-<vector,x>})^power
+Denom = tuple[Factor, ...]          # sorted by vector, each vector once
+Laurent = dict[Vec, int]            # shift -> coefficient
+Grouped = dict[Denom, Laurent]      # the working sum: denominator -> numerator
 
 
 @dataclass(frozen=True)
@@ -66,64 +81,60 @@ def expand_dependent(relation: IntegerRelation, basis) -> list[tuple[ExpRatSum, 
     return out
 
 
-def partial_fraction(y0_factor: DenomFactor, gammas, denom) -> list[ExpRatTerm]:
+def partial_fraction(y0: Factor, gammas, denom: Denom) -> Grouped:
     """Decompose 1 / (y0^power * prod denom) so one gamma-indexed factor is
     eliminated.
 
-    gammas is a list of (ExpRatSum, vector) pairs with y0 = sum gamma_v * y_v;
-    each listed vector must appear in denom, a tuple of DenomFactor.  Applies
+    y0 is a (vector, power) pair and denom a denominator.  gammas is a list
+    of (numerator, vector) pairs with y0 = sum gamma_v * y_v; each listed
+    vector must appear in denom.  Applies
     1/(y0^t * prod y_v^{h_v}) = sum_v gamma_v/(y0^{t+1} * y_v^{h_v-1} * ...)
-    until every branch has emptied one of the y_v, then reassembles terms.
-    Each output term's total denominator power exceeds denom's by exactly
-    y0_factor.power.
+    until every branch has emptied one of the y_v, then groups the branches
+    by denominator.  Each output denominator's total power exceeds denom's
+    by exactly y0's power.
     """
-    involved = {v: g for g, v in gammas}
+    involved = {v: g.items() for g, v in gammas}
     powers = {}
     passive = []
-    for f in denom:
-        if f.vector in involved:
-            powers[f.vector] = f.power
+    for v, p in denom:
+        if v in involved:
+            powers[v] = p
         else:
-            passive.append(f)
+            passive.append((v, p))
     if len(powers) != len(involved):
         raise ValueError("denominator is missing a gamma factor")
 
+    y0_vector, y0_power = y0
+    unit = ((0,) * len(y0_vector), 1),
     vecs = sorted(powers)
     start = tuple(powers[v] for v in vecs)
-    total0 = y0_factor.power + sum(start)
-    leaves = []
+    total0 = y0_power + sum(start)
+    out: Grouped = {}
     # breadth-first over power states; expansion orders reaching the same
     # state share one numerator, which keeps the tree from re-walking paths
-    active = {start: expalg.one(len(y0_factor.vector))}
+    active = {start: dict(unit)}
     while active:
-        nxt: dict[tuple, ExpRatSum] = {}
+        nxt: dict[tuple, Laurent] = {}
         for pw, num in active.items():
-            t0 = total0 - sum(pw)
-            if any(p == 0 for p in pw):
-                leaves.append((num, t0, pw))
+            if 0 in pw:
+                residue = [(y0_vector, total0 - sum(pw))]
+                residue += [(v, p) for v, p in zip(vecs, pw) if p > 0]
+                _accumulate(out.setdefault(_denominator(residue + passive), {}), num, unit)
                 continue
             for k, v in enumerate(vecs):
                 child = pw[:k] + (pw[k] - 1,) + pw[k + 1:]
-                grown = expalg.mul(num, involved[v])
-                nxt[child] = expalg.add(nxt[child], grown) if child in nxt else grown
+                _accumulate(nxt.setdefault(child, {}), num, involved[v])
         active = nxt
-
-    out = []
-    for num, t0, pw in leaves:
-        residue = [DenomFactor(y0_factor.vector, t0)]
-        residue += [DenomFactor(v, p) for v, p in zip(vecs, pw) if p > 0]
-        residue += passive
-        for mono in num.terms:
-            out.append(make_term(mono.num.coeff, mono.num.shift, residue))
-    return out
+    return _nonzero(out)
 
 
 @lru_cache(maxsize=4096)
-def _absorption_data(denom: tuple[DenomFactor, ...], a: Vec) -> tuple[ExpRatTerm, ...] | None:
-    """The normalized terms of 1 / (denom * (1 - e^{-<a,x>})) for a not among
-    denom's vectors, or None when a is independent of them.  Every term with
-    this denominator absorbs a through these terms, scaled by its numerator."""
-    vecs = [f.vector for f in denom]
+def _absorption_data(denom: Denom, a: Vec) -> tuple[tuple[Denom, tuple], ...] | None:
+    """1 / (denom * (1 - e^{-<a,x>})) for a not among denom's vectors, as
+    immutable (denominator, ((shift, coeff), ...)) groups; None when a is
+    independent of denom's vectors.  Every numerator over denom absorbs a
+    by multiplying into each group."""
+    vecs = [v for v, _ in denom]
     if rank(vecs + [a]) == len(vecs) + 1:
         return None
     rel = integer_relation(vecs, a)
@@ -132,35 +143,32 @@ def _absorption_data(denom: tuple[DenomFactor, ...], a: Vec) -> tuple[ExpRatTerm
     kept = [(m, v) for m, v in zip(rel.coefficients, vecs) if m != 0]
     sub_basis = [v for _, v in kept]
     sub_rel = IntegerRelation(rel.multiplier, tuple(m for m, _ in kept))
-    beta = geometric_factor(a, rel.multiplier)
-    y0 = DenomFactor(scale(a, rel.multiplier), 1)
-    gammas = [(g, sub_basis[j]) for g, j in expand_dependent(sub_rel, sub_basis)]
-    return expalg.mul(make_sum(partial_fraction(y0, gammas, denom)), beta).terms
+    beta = _laurent(geometric_factor(a, rel.multiplier)).items()
+    y0 = (scale(a, rel.multiplier), 1)
+    gammas = [(_laurent(g), sub_basis[j]) for g, j in expand_dependent(sub_rel, sub_basis)]
+    groups = {}
+    for d, num in partial_fraction(y0, gammas, denom).items():
+        _accumulate(groups.setdefault(d, {}), num, beta)
+    return tuple((d, tuple(num.items())) for d, num in _nonzero(groups).items())
 
 
 def absorb_vector(term: ExpRatTerm, a: Vec) -> list[ExpRatTerm]:
-    """Terms summing to term / (1 - e^{-<a,x>}).
+    """Terms summing to term / (1 - e^{-<a,x>}): one fold_step of the sum
+    whose only group is term.
 
     Independent vectors are appended, exact repeats merge into the power, and
     a dependent vector goes through integer_relation + expand_dependent +
     partial_fraction, keeping every output denominator set independent.
-    The independence test and that rewrite depend only on term's
-    denominator and a, so _absorption_data makes both once, for the unit
-    numerator, and the result is scaled by term's.
     """
     a = tuple(a)
     if is_zero(a):
         raise ValueError("cannot absorb the zero vector")
-    q, c = term.num.coeff, term.num.shift
-    data = None if any(f.vector == a for f in term.denom) else _absorption_data(term.denom, a)
-    if data is None:
-        return [make_term(q, c, term.denom + (DenomFactor(a, 1),))]
-    return [ExpRatTerm(ExpMonomial(q * t.num.coeff, vadd(c, t.num.shift)), t.denom)
-            for t in data]
+    denom = tuple((f.vector, f.power) for f in term.denom)
+    return list(_to_sum(fold_step({denom: {term.num.shift: term.num.coeff}}, a)).terms)
 
 
 def toric_reduce(X, check: bool = False, seed: int = 0) -> ReducedForm:
-    """Fold absorb_vector over X, starting from the unit term, in the fold
+    """Fold fold_step over X, starting from the unit term, in the fold
     order chosen by choose_fold.
 
     X must pass linalg.check_system.  With check=True every absorption step
@@ -172,10 +180,11 @@ def toric_reduce(X, check: bool = False, seed: int = 0) -> ReducedForm:
     X = [tuple(a) for a in X]
     check_system(X)
 
-    order, reduced = choose_fold(X)
+    order, grouped = choose_fold(X)
+    reduced = _to_sum(grouped)
     if check:  # each step of the order; the last one is the sum returned
         for k in range(1, len(X) + 1):
-            part = reduced if k == len(X) else _fold(X, order[:k])
+            part = reduced if k == len(X) else _to_sum(_fold(X, order[:k]))
             spot_check(part, laplace_generating([X[i] for i in order[:k]]), X, seed)
 
     rf = ReducedForm(tuple(X), reduced)
@@ -183,24 +192,31 @@ def toric_reduce(X, check: bool = False, seed: int = 0) -> ReducedForm:
     return rf
 
 
-def fold_step(acc: ExpRatSum, a: Vec, cap: float = math.inf) -> ExpRatSum | None:
-    """acc / (1 - e^{-<a,x>}) as a normalized sum; None as soon as the terms
-    produced so far carry more than cap distinct (shift, denominator) keys."""
-    out: list[ExpRatTerm] = []
-    keys = set()
-    for old in acc.terms:
-        new = absorb_vector(old, a)
-        out += new
-        keys.update(t.key for t in new)
-        if len(keys) > cap:
+def fold_step(acc: Grouped, a: Vec, cap: float = math.inf) -> Grouped | None:
+    """acc / (1 - e^{-<a,x>}), grouped; None as soon as the entries produced
+    so far carry more than cap distinct (shift, denominator) keys, zero
+    coefficients included.  acc is left unchanged."""
+    out: Grouped = {}
+    size = 0
+    for denom, num in acc.items():
+        groups = None if any(v == a for v, _ in denom) else _absorption_data(denom, a)
+        if groups is None:  # a merges into the power or is appended
+            unit = ((0,) * len(a), 1),
+            groups = (_denominator(denom + ((a, 1),)), unit),
+        for d, factor in groups:
+            target = out.setdefault(d, {})
+            n = len(target)
+            _accumulate(target, num, factor)
+            size += len(target) - n
+        if size > cap:
             return None
-    return make_sum(out)
+    return _nonzero(out)
 
 
-def _fold(X, order, cap: float = math.inf) -> ExpRatSum | None:
+def _fold(X, order, cap: float = math.inf) -> Grouped | None:
     """The unit term folded through X[i] for i in order; None as soon as a
     step carries more than cap distinct terms."""
-    acc = make_sum([make_term(1, (0,) * len(X[0]))])
+    acc = {(): {(0,) * len(X[0]): 1}}
     for i in order:
         acc = fold_step(acc, X[i], cap)
         if acc is None:
@@ -208,8 +224,8 @@ def _fold(X, order, cap: float = math.inf) -> ExpRatSum | None:
     return acc
 
 
-def choose_fold(X) -> tuple[list[int], ExpRatSum]:
-    """Fold order for X and the sum its fold gives.
+def choose_fold(X) -> tuple[list[int], Grouped]:
+    """Fold order for X and the grouped sum its fold gives.
 
     Every sum of a complete fold is t_X's generating function; they differ
     only in their number of terms.  The search seeds one greedy fold with
@@ -235,19 +251,18 @@ def choose_fold(X) -> tuple[list[int], ExpRatSum]:
         order, acc = list(subset), _fold(X, subset)
         rest = [i for i in range(n) if i not in subset]
         while rest:
-            pick, step = None, None
+            pick, step, size = None, None, math.inf
             for i in rest:
-                cap = best_count if step is None else min(best_count, len(step.terms))
-                cand = fold_step(acc, X[i], cap)
-                if cand is not None and (step is None or len(cand.terms) < len(step.terms)):
-                    pick, step = i, cand
+                cand = fold_step(acc, X[i], min(best_count, size))
+                if cand is not None and (k := _size(cand)) < size:
+                    pick, step, size = i, cand, k
             if step is None:
                 break
             rest.remove(pick)
             order.append(pick)
             acc = step
-        if not rest and len(acc.terms) < best_count:
-            best, best_count = (order, acc), len(acc.terms)
+        if not rest and _size(acc) < best_count:
+            best, best_count = (order, acc), _size(acc)
 
     # a capped fold that completes has at most cap terms
     acc = _fold(X, range(n), best_count)
@@ -255,21 +270,67 @@ def choose_fold(X) -> tuple[list[int], ExpRatSum]:
 
 
 def assert_reduced_invariants(rf: ReducedForm) -> None:
-    """Structural guarantees of the reduction, checked term by term."""
+    """Structural guarantees of the reduction.  Each depends only on a
+    term's denominator, so each distinct denominator is checked once."""
     X = rf.source
     s = len(X[0])
     n = len(X)
-    for t in rf.sum.terms:
-        vecs = [f.vector for f in t.denom]
+    for denom in dict.fromkeys(t.denom for t in rf.sum.terms):
+        vecs = [f.vector for f in denom]
         if len(vecs) != s:
             raise InvariantError(f"term has {len(vecs)} denominators, expected {s}")
         if rank(vecs) != s:
             raise InvariantError("dependent denominator vectors")
-        if t.total_power() != n:
-            raise InvariantError(f"power conservation broken: {t.total_power()} != {n}")
+        power = sum(f.power for f in denom)
+        if power != n:
+            raise InvariantError(f"power conservation broken: {power} != {n}")
         for v in vecs:
             if not _positive_multiple_of_some(v, X):
                 raise InvariantError(f"{v} is not a positive multiple of a source vector")
+
+
+def _denominator(factors) -> Denom:
+    """Sorted (vector, power) pairs, a repeated vector merged by adding powers."""
+    merged: dict[Vec, int] = {}
+    for v, p in factors:
+        merged[v] = merged.get(v, 0) + p
+    return tuple(sorted(merged.items()))
+
+
+def _laurent(expr: ExpRatSum) -> Laurent:
+    """The numerator {shift: coeff} of a sum of exponentials without denominators."""
+    return {t.num.shift: t.num.coeff for t in expr.terms}
+
+
+def _accumulate(target: Laurent, num: Laurent, factor) -> None:
+    """target += num * factor, factor given as (shift, coeff) pairs."""
+    for t, r in factor:
+        for c, q in num.items():
+            k = tuple(map(add, c, t))
+            target[k] = target.get(k, 0) + q * r
+
+
+def _nonzero(acc: Grouped) -> Grouped:
+    """acc without zero coefficients and without empty numerators."""
+    out = {}
+    for d, num in acc.items():
+        kept = {c: q for c, q in num.items() if q}
+        if kept:
+            out[d] = kept
+    return out
+
+
+def _size(acc: Grouped) -> int:
+    """The number of terms of a grouped sum."""
+    return sum(map(len, acc.values()))
+
+
+def _to_sum(acc: Grouped) -> ExpRatSum:
+    """The normalized ExpRatSum of a grouped sum: terms sorted by
+    (shift, denominator), one DenomFactor tuple per denominator."""
+    factors = {d: tuple(DenomFactor(v, p) for v, p in d) for d in acc}
+    entries = sorted((c, d, q) for d, num in acc.items() for c, q in num.items())
+    return ExpRatSum(tuple(ExpRatTerm(ExpMonomial(q, c), factors[d]) for c, d, q in entries))
 
 
 def _positive_multiple_of_some(v: Vec, X) -> bool:

@@ -12,6 +12,10 @@ from dtpower.linalg import det_adj, pointedness_certificate, rank
 
 EX1 = ((1,), (1,), (2,))
 EX2 = ((1, 0), (0, 1), (-1, 2))
+# The benchmark's stress systems: the fold order changes their reduction
+# by orders of magnitude.
+STRESS_A = ((0, -2), (3, -2), (-2, 1), (-2, -1))
+STRESS_B = ((-2, 3, 1), (-3, -2, -2), (0, 3, 1), (2, 3, 2))
 
 MASTER_SEED = 20260823
 # Largest allowed |det| over independent s-subsets.  Relation multipliers in

@@ -4,13 +4,12 @@ chosen fold is never larger than the input-order fold."""
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import STRESS_A
 from dtpower.engines import DMContext, box_points
 from dtpower.expalg import make_sum, make_term
 from dtpower.linalg import pointedness_certificate, rank
 from dtpower.quasipoly import closed_form, eval_closed_box
 from dtpower.toric import absorb_vector, toric_reduce
-
-STRESS_A = ((0, -2), (3, -2), (-2, 1), (-2, -1))
 
 BOXES = {1: ((-3,), (12,)), 2: ((-3, -3), (6, 6))}
 

@@ -97,6 +97,15 @@ class TestClosedForm:
         assert closed_form(EX2, rf) == merge_pieces(
             EX2, [inverse_laplace_term(t) for t in rf.sum.terms])
 
+    @pytest.mark.parametrize("factor", [Fraction(1, 2), -1])
+    def test_equality_compares_polynomials(self, factor):
+        cf = closed_form(EX2)
+        for k in range(len(cf.pieces)):
+            bad = corrupted(cf, k, factor)
+            assert bad != cf
+            assert hash(bad) == hash(cf)  # the hash leaves polynomials out
+        assert closed_form(EX2) == cf
+
     def test_reduction_of_another_system_rejected(self):
         with pytest.raises(ValueError):
             closed_form(EX2, toric_reduce(EX1))

@@ -1,8 +1,12 @@
+import hashlib
+import itertools
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EX1, EX2, random_pointed_systems
+from conftest import EX1, EX2, STRESS_A, STRESS_B, random_pointed_systems
 from dtpower import toric
 from dtpower.expalg import (DenomFactor, ExpRatSum, add, eval_numeric,
                             laplace_generating, make_sum, make_term, monomial,
@@ -15,6 +19,20 @@ from dtpower.toric import (ReducedForm, absorb_vector, assert_reduced_invariants
 RTOL = 1e-9
 
 CORPUS = random_pointed_systems()
+
+REDUCED_SUMS = Path(__file__).parent / "golden" / "reduced-sums.txt"
+
+
+def pinned_inputs():
+    """(label, X): EX1, EX2, the seeded corpus and every order of the two
+    stress systems."""
+    inputs = [("ex1", EX1), ("ex2", EX2)]
+    inputs += [(f"seeded-{i:02d}", X) for i, X in enumerate(CORPUS)]
+    for name, X in (("A", STRESS_A), ("B", STRESS_B)):
+        for perm in itertools.permutations(range(len(X))):
+            inputs.append((f"stress{name}-{''.join(map(str, perm))}",
+                           tuple(X[i] for i in perm)))
+    return inputs
 
 
 def one_minus_exp(v):
@@ -75,45 +93,36 @@ class TestExpandDependent:
 
 
 class TestPartialFraction:
+    """Denominators are sorted (vector, power) pairs; numerators {shift: int}."""
+
     def test_constant_gamma(self):
         # 1/(y0*y1) with y0 = 2*y1  ->  2/y0^2
-        term = make_term(1, (0,), [DenomFactor((1,), 1)])
-        y0 = DenomFactor((2,), 1)
-        out = partial_fraction(y0, [(monomial(2, (0,)), (1,))], term.denom)
-        assert make_sum(out) == make_sum(
-            [make_term(2, (0,), [DenomFactor((2,), 2)])])
+        out = partial_fraction(((2,), 1), [({(0,): 2}, (1,))], (((1,), 1),))
+        assert out == {(((2,), 2),): {(0,): 2}}
 
     def test_two_way_split(self):
         # 1/(y0*y1*y2) with y0 = y1 + y2 -> 1/(y0^2 y2) + 1/(y0^2 y1)
-        term = make_term(1, (0, 0), [DenomFactor((1, 0), 1), DenomFactor((0, 1), 1)])
-        y0 = DenomFactor((1, 1), 1)
-        gammas = [(monomial(1, (0, 0)), (1, 0)), (monomial(1, (0, 0)), (0, 1))]
-        out = make_sum(partial_fraction(y0, gammas, term.denom))
-        expected = make_sum([
-            make_term(1, (0, 0), [DenomFactor((1, 1), 2), DenomFactor((0, 1), 1)]),
-            make_term(1, (0, 0), [DenomFactor((1, 1), 2), DenomFactor((1, 0), 1)]),
-        ])
-        assert out == expected
+        denom = (((0, 1), 1), ((1, 0), 1))
+        gammas = [({(0, 0): 1}, (1, 0)), ({(0, 0): 1}, (0, 1))]
+        out = partial_fraction(((1, 1), 1), gammas, denom)
+        assert out == {
+            (((0, 1), 1), ((1, 1), 2)): {(0, 0): 1},
+            (((1, 0), 1), ((1, 1), 2)): {(0, 0): 1},
+        }
 
     def test_geometric_chain(self):
         # 1/(y0*y1^2) with y0 = (1+e^{-x})*y1 -> (1+2e^{-x}+e^{-2x})/y0^3
-        term = make_term(1, (0,), [DenomFactor((1,), 2)])
-        y0 = DenomFactor((2,), 1)
-        gamma = add(monomial(1, (0,)), monomial(1, (-1,)))
-        out = make_sum(partial_fraction(y0, [(gamma, (1,))], term.denom))
-        expected = make_sum([
-            make_term(1, (0,), [DenomFactor((2,), 3)]),
-            make_term(2, (-1,), [DenomFactor((2,), 3)]),
-            make_term(1, (-2,), [DenomFactor((2,), 3)]),
-        ])
-        assert out == expected
+        gamma = {(0,): 1, (-1,): 1}
+        out = partial_fraction(((2,), 1), [(gamma, (1,))], (((1,), 2),))
+        assert out == {(((2,), 3),): {(0,): 1, (-1,): 2, (-2,): 1}}
 
     def test_power_conservation(self):
-        term = make_term(1, (0, 0), [DenomFactor((1, 0), 2), DenomFactor((0, 1), 3)])
-        y0 = DenomFactor((1, 1), 1)
-        gammas = [(monomial(1, (0, 0)), (1, 0)), (monomial(1, (0, 0)), (0, 1))]
-        for t in partial_fraction(y0, gammas, term.denom):
-            assert t.total_power() == 1 + term.total_power()
+        denom = (((0, 1), 3), ((1, 0), 2))
+        gammas = [({(0, 0): 1}, (1, 0)), ({(0, 0): 1}, (0, 1))]
+        out = partial_fraction(((1, 1), 1), gammas, denom)
+        assert out
+        for d in out:
+            assert sum(p for _, p in d) == 1 + 5
 
 
 class TestAbsorbVector:
@@ -144,7 +153,8 @@ class TestAbsorbVector:
 
     def test_independence_decided_once_per_denominator(self, monkeypatch):
         # many terms share a denominator; rank runs once per (denominator,
-        # vector) absorbed, plus once per final term in the invariant check
+        # vector) absorbed, plus once per distinct final denominator in the
+        # invariant check
         calls = []
 
         def counting_rank(X):
@@ -154,7 +164,9 @@ class TestAbsorbVector:
         monkeypatch.setattr(toric, "rank", counting_rank)
         toric._absorption_data.cache_clear()
         rf = toric_reduce(((0, -2), (3, -2), (-2, 1), (-2, -1)))
-        assert len(calls) == toric._absorption_data.cache_info().misses + len(rf.sum.terms)
+        denominators = {t.denom for t in rf.sum.terms}
+        assert len(denominators) < len(rf.sum.terms)
+        assert len(calls) == toric._absorption_data.cache_info().misses + len(denominators)
         toric._absorption_data.cache_clear()
 
     @settings(max_examples=60, deadline=None)
@@ -222,6 +234,31 @@ class TestToricReduce:
                 want = eval_numeric(gen, x)
                 got = eval_numeric(rf.sum, x)
                 assert abs(got - want) <= RTOL * (1 + abs(want))
+
+
+class TestPinnedOutput:
+    def test_reduced_sums_match_golden_digests(self):
+        # sha256 of repr(toric_reduce(X).sum), written before the working
+        # sum was grouped by denominator; any change to a term, its order or
+        # the chosen fold shows here
+        want = dict(line.split() for line in REDUCED_SUMS.read_text().splitlines())
+        got = {label: hashlib.sha256(repr(toric_reduce(X).sum).encode()).hexdigest()
+               for label, X in pinned_inputs()}
+        assert len(want) == 100
+        assert got == want
+
+    def test_warm_cache_gives_the_cold_result(self):
+        # a fold that mutated a cached absorption would change later sums
+        systems = [EX1, EX2] + CORPUS
+        cold = []
+        for X in systems:
+            toric._absorption_data.cache_clear()
+            cold.append(toric_reduce(X).sum)
+        toric._absorption_data.cache_clear()
+        first = [toric_reduce(X).sum for X in systems]
+        second = [toric_reduce(X).sum for X in systems]
+        assert first == second == cold
+        toric._absorption_data.cache_clear()
 
 
 class TestReducedInvariants:
