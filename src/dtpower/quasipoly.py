@@ -9,7 +9,9 @@ independent denominator basis B inverts to a single polynomial piece
 supported on the shifted lattice cone offset + N*b_1 + ... + N*b_s with
 offset = -c - sum_i (h_i - 1) * b_i.  Summing the pieces of a full toric
 reduction evaluates, exactly, to the number of nonnegative integer solutions
-of sum beta_i a_i = alpha at every integer point.
+of sum beta_i a_i = alpha at every integer point.  The linear factors are
+multiplied over int; Fraction first appears at the one division per
+monomial, when the piece's MultiPoly is built.
 
 The evaluators do not test the pieces one by one.  On its first evaluation
 a ClosedForm compiles itself, once: the pieces are grouped by basis, with
@@ -20,8 +22,9 @@ its pieces by one dict lookup per basis and a sign test per candidate.
 Every polynomial is stored as int numerators over one common denominator L
 of the whole form, so neither eval_closed nor eval_closed_box makes a
 Fraction per point; the count is checked once, as a nonnegative multiple
-of L.  support_membership and MultiPoly.evaluate stay as the exact
-reference.
+of L.  eval_closed_box walks each piece's cone lattice instead, clipping
+its last two coordinates to the box (Fourier-Motzkin, then per point).
+support_membership and MultiPoly.evaluate stay as the exact reference.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import factorial, gcd, lcm
+from operator import add
 
 from .errors import InvariantError
 from .expalg import ExpRatTerm
@@ -44,24 +48,6 @@ class MultiPoly:
 
     monomials: dict[Vec, Fraction]
 
-    @classmethod
-    def constant(cls, value, dim: int) -> "MultiPoly":
-        value = Fraction(value)
-        return cls({(0,) * dim: value} if value else {})
-
-    @classmethod
-    def linear(cls, coeffs: Vec, const) -> "MultiPoly":
-        """sum coeffs[k] * x_k + const."""
-        s = len(coeffs)
-        mono = {}
-        for k, c in enumerate(coeffs):
-            if c:
-                e = tuple(1 if j == k else 0 for j in range(s))
-                mono[e] = Fraction(c)
-        if const:
-            mono[(0,) * s] = Fraction(const)
-        return cls(mono)
-
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         out = dict(self.monomials)
         for e, c in other.monomials.items():
@@ -70,18 +56,6 @@ class MultiPoly:
                 out[e] = v
             else:
                 out.pop(e, None)
-        return MultiPoly(out)
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        out: dict[Vec, Fraction] = {}
-        for e1, c1 in self.monomials.items():
-            for e2, c2 in other.monomials.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, Fraction(0)) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
         return MultiPoly(out)
 
     def scaled(self, q) -> "MultiPoly":
@@ -186,12 +160,18 @@ def support_membership(basis, offset: Vec, alpha: Vec) -> bool:
 
 
 def inverse_laplace_term(term: ExpRatTerm) -> ConePiece:
-    """One reduced term to one polynomial piece on a shifted lattice cone."""
+    """One reduced term to one polynomial piece on a shifted lattice cone.
+
+    The linear factors are multiplied over int; the one division, by
+    prod (h_i - 1)! * pair_i^(h_i - 1), comes when the MultiPoly is built.
+    """
     basis = tuple(f.vector for f in term.denom)
     s = len(basis[0]) if basis else 0
     _, adj = _solver(basis)
     c = term.num.shift
-    poly = MultiPoly.constant(term.num.coeff, s)
+    mono = {(0,) * s: term.num.coeff}
+    unit = [tuple(int(k == i) for k in range(s)) for i in range(s)]
+    divisor = 1
     offset = vsub((0,) * s, c)
     for i, f in enumerate(term.denom):
         # adjugate row i, made primitive: orthogonal to every basis vector
@@ -199,12 +179,24 @@ def inverse_laplace_term(term: ExpRatTerm) -> ConePiece:
         g = gcd(*adj[i])
         w = tuple(x // g for x in adj[i])
         pair = dot(w, f.vector)
+        # <w, alpha> + <w, c> + j * pair as (exponents, coefficient) pairs
+        linear = [(e, x) for e, x in zip(unit, w) if x]
         for j in range(1, f.power):
-            poly = poly * MultiPoly.linear(w, dot(w, c) + j * pair)
-        if f.power > 1:
-            poly = poly.scaled(Fraction(1, factorial(f.power - 1) * pair ** (f.power - 1)))
+            mono = _times(mono, linear + [((0,) * s, dot(w, c) + j * pair)])
+        divisor *= factorial(f.power - 1) * pair ** (f.power - 1)
         offset = vsub(offset, scale(f.vector, f.power - 1))
-    return ConePiece(basis, offset, poly)
+    return ConePiece(basis, offset, MultiPoly({e: Fraction(q, divisor)
+                                               for e, q in mono.items() if q}))
+
+
+def _times(mono: dict[Vec, int], factor) -> dict[Vec, int]:
+    """mono times a polynomial given as (exponents, coefficient) pairs."""
+    out: dict[Vec, int] = {}
+    for e1, q in mono.items():
+        for e2, r in factor:
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + q * r
+    return out
 
 
 def closed_form(X, reduced: ReducedForm | None = None) -> ClosedForm:
@@ -264,48 +256,39 @@ def eval_closed_box(cf: ClosedForm, lo: Vec, hi: Vec) -> dict[Vec, int]:
     """Counts for every lattice point of the box, walking each piece's own
     support lattice instead of testing membership pointwise.
 
-    The cone coordinates lambda_1 .. lambda_{s-1} run over the ranges the box
-    corners bound.  For each of their points x, the box is an interval of
-    the last coordinate t, lo_k <= x_k + t * c_k <= hi_k for every k with c
-    the last basis vector, so the walk meets only lattice points in the box.
+    A cone coordinate lambda_i = adj_i.(alpha - offset) / d is linear in
+    alpha, so over the box it lies between its values at the corners.
+    lambda_1 .. lambda_{s-2} run over those ranges.  For each of their points
+    x, the box bounds (m, t) = (lambda_{s-1}, lambda_s) by the rows
+    lo_k <= x_k + m * b_k + t * c_k <= hi_k, with b and c the last two basis
+    vectors.  Eliminating t from the rows (Fourier-Motzkin) clips m, and for
+    each m the rows clip t, so the walk skips every m whose line misses the
+    box and meets only lattice points in the box.
     """
     s = len(cf.source[0])
     if len(lo) != s or len(hi) != s:
         raise ValueError(f"box corners {tuple(lo)} and {tuple(hi)} do not have dimension {s}")
     comp = cf._compiled
     acc: dict[Vec, int] = {}
-    corners = list(product(*[(l, h) for l, h in zip(lo, hi)]))
+    corners = list(product(*zip(lo, hi)))
     for p, (d, adj, poly) in zip(cf.pieces, comp.pieces):
-        ranges = []
-        for i in range(s - 1):
-            nums = [dot(adj[i], vsub(c, p.offset)) for c in corners]
-            lo_i = max(0, -(-min(nums) // d))
-            hi_i = max(nums) // d
-            if hi_i < lo_i:
-                ranges = None
-                break
-            ranges.append(range(lo_i, hi_i + 1))
-        if ranges is None:
+        bounds = []
+        for row in adj:
+            nums = [dot(row, vsub(c, p.offset)) for c in corners]
+            bounds.append((max(0, -(-min(nums) // d)), max(nums) // d))
+        if any(l > h for l, h in bounds):
             continue
-        last = p.basis[-1]
-        for lam in product(*ranges):
+        *outer, last = p.basis
+        mid = outer.pop() if outer else (0,) * s  # s == 1: m is 0 on a zero vector
+        m_bounds = bounds[-2] if s > 1 else (0, 0)
+        for head in product(*[range(l, h + 1) for l, h in bounds[:-2]]):
             x = p.offset
-            for li, b in zip(lam, p.basis):
+            for li, b in zip(head, outer):
                 x = vadd(x, scale(b, li))
-            t_lo, t_hi = 0, None
-            for l, h, xk, ck in zip(lo, hi, x, last):
-                if ck == 0:
-                    if not l <= xk <= h:
-                        break
-                    continue
-                if ck < 0:
-                    l, h = h, l
-                t_lo = max(t_lo, -((xk - l) // ck))
-                top = (h - xk) // ck
-                t_hi = top if t_hi is None else min(t_hi, top)
-            else:
-                for t in range(t_lo, t_hi + 1):
-                    alpha = vadd(x, scale(last, t))
+            for m, ts in _clip(x, mid, last, lo, hi, m_bounds, bounds[-1]):
+                y = vadd(x, scale(mid, m))
+                for t in ts:
+                    alpha = vadd(y, scale(last, t))
                     acc[alpha] = acc.get(alpha, 0) + _numerator(poly, alpha)
     out = {}
     for alpha, v in acc.items():
@@ -313,3 +296,35 @@ def eval_closed_box(cf: ClosedForm, lo: Vec, hi: Vec) -> dict[Vec, int]:
         if n:
             out[alpha] = n
     return out
+
+
+def _clip(x: Vec, b: Vec, c: Vec, lo: Vec, hi: Vec, m_bounds, t_bounds):
+    """(m, range of t) for each integer m in m_bounds for which a real t in
+    t_bounds puts x + m*b + t*c in the box, with the integer t that do.
+
+    Fourier-Motzkin: pairing each lower bound on t with each upper one
+    eliminates t and leaves the rows on m; then each m solves for t.
+    """
+    t_lo, t_hi = t_bounds
+    rows = [(0, 1, t_hi), (0, -1, -t_lo)]  # (a_m, a_t, r): a_m*m + a_t*t <= r
+    for l, h, xk, bk, ck in zip(lo, hi, x, b, c):
+        rows += [(bk, ck, h - xk), (-bk, -ck, xk - l)]
+    m_rows = [(am, r) for am, at, r in rows if at == 0]
+    m_rows += [(am * -at2 + am2 * at, r * -at2 + r2 * at)
+               for am, at, r in rows if at > 0
+               for am2, at2, r2 in rows if at2 < 0]
+    t_rows = [(at, r, am) for am, at, r in rows if at]
+    for m in _range(m_rows, *m_bounds):
+        yield m, _range([(at, r - am * m) for at, r, am in t_rows], t_lo, t_hi)
+
+
+def _range(rows, low: int, high: int) -> range:
+    """The integers v in [low, high] with a * v <= r for every (a, r) in rows."""
+    for a, r in rows:
+        if a > 0:
+            high = min(high, r // a)
+        elif a < 0:
+            low = max(low, -(r // -a))
+        elif r < 0:
+            return range(0)
+    return range(low, high + 1)

@@ -16,6 +16,11 @@ it; it makes no dataclass per term.  The denominators of the result are the
 toric arrangement.  Only toric_reduce turns the grouped sum into an
 ExpRatSum.
 
+Inside the module a shift is one packed int (see STRIDE), so multiplying
+numerators adds ints and builds no tuple per product.  Shifts are packed
+where they enter, the monomials of a gamma or of beta and the numerator of
+the unit term or of absorb_vector's term, and unpacked once, in _to_sum.
+
 The reduction is order-dependent and non-unique; correctness is semantic
 (formal-identity preservation, spot-checked numerically in debug mode).
 The number of terms depends on the fold order by orders of magnitude, so
@@ -28,7 +33,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import add
 
 from . import expalg
 from .errors import InvariantError
@@ -40,8 +44,23 @@ from .linalg import (IntegerRelation, Vec, check_system, det_adj,
 
 Factor = tuple[Vec, int]            # (vector, power): (1 - e^{-<vector,x>})^power
 Denom = tuple[Factor, ...]          # sorted by vector, each vector once
-Laurent = dict[Vec, int]            # shift -> coefficient
+Laurent = dict[int, int]            # packed shift -> coefficient
 Grouped = dict[Denom, Laurent]      # the working sum: denominator -> numerator
+
+# A shift c in Z^s is packed as the int sum_i c_i * STRIDE^i (signed c_i):
+# packed ints add as their shifts do, and _unpack recovers c while every
+# |c_i| < STRIDE / 2.  No coordinate a reduction reaches exceeds REACH:
+# _pack, the only way in, rejects a coordinate past ENTRY_LIMIT; a group of
+# _absorption_data(denom, a) is beta times at most P gammas, P the total
+# power of denom, which it requires below MAX_POWER; and the k-th step of a
+# fold from the unit term absorbs denominators of power k - 1.  So a fold
+# moves a coordinate by at most (1 + ... + MAX_POWER) * ENTRY_LIMIT = REACH,
+# and absorb_vector moves its term's shift by at most MAX_POWER *
+# ENTRY_LIMIT.  A 3-D shift fits in 63 bits.
+STRIDE = 1 << 21
+MAX_POWER = 32
+ENTRY_LIMIT = (STRIDE // 2 - 1) // (MAX_POWER * (MAX_POWER + 1) // 2)
+REACH = MAX_POWER * (MAX_POWER + 1) // 2 * ENTRY_LIMIT
 
 
 @dataclass(frozen=True)
@@ -86,8 +105,8 @@ def partial_fraction(y0: Factor, gammas, denom: Denom) -> Grouped:
     eliminated.
 
     y0 is a (vector, power) pair and denom a denominator.  gammas is a list
-    of (numerator, vector) pairs with y0 = sum gamma_v * y_v; each listed
-    vector must appear in denom.  Applies
+    of (numerator, vector) pairs with y0 = sum gamma_v * y_v, each numerator
+    a {packed shift: int}; each listed vector must appear in denom.  Applies
     1/(y0^t * prod y_v^{h_v}) = sum_v gamma_v/(y0^{t+1} * y_v^{h_v-1} * ...)
     until every branch has emptied one of the y_v, then groups the branches
     by denominator.  Each output denominator's total power exceeds denom's
@@ -105,7 +124,7 @@ def partial_fraction(y0: Factor, gammas, denom: Denom) -> Grouped:
         raise ValueError("denominator is missing a gamma factor")
 
     y0_vector, y0_power = y0
-    unit = ((0,) * len(y0_vector), 1),
+    unit = (0, 1),
     vecs = sorted(powers)
     start = tuple(powers[v] for v in vecs)
     total0 = y0_power + sum(start)
@@ -137,6 +156,8 @@ def _absorption_data(denom: Denom, a: Vec) -> tuple[tuple[Denom, tuple], ...] | 
     vecs = [v for v, _ in denom]
     if rank(vecs + [a]) == len(vecs) + 1:
         return None
+    if sum(p for _, p in denom) >= MAX_POWER:
+        raise InvariantError(f"denominator power reaches {MAX_POWER}, past the packed-shift bound")
     rel = integer_relation(vecs, a)
     if rel is None:
         raise InvariantError(f"{a} is outside the span of the denominators {vecs}")
@@ -164,7 +185,8 @@ def absorb_vector(term: ExpRatTerm, a: Vec) -> list[ExpRatTerm]:
     if is_zero(a):
         raise ValueError("cannot absorb the zero vector")
     denom = tuple((f.vector, f.power) for f in term.denom)
-    return list(_to_sum(fold_step({denom: {term.num.shift: term.num.coeff}}, a)).terms)
+    acc = {denom: {_pack(term.num.shift): term.num.coeff}}
+    return list(_to_sum(fold_step(acc, a), len(a)).terms)
 
 
 def toric_reduce(X, check: bool = False, seed: int = 0) -> ReducedForm:
@@ -180,11 +202,12 @@ def toric_reduce(X, check: bool = False, seed: int = 0) -> ReducedForm:
     X = [tuple(a) for a in X]
     check_system(X)
 
+    s = len(X[0])
     order, grouped = choose_fold(X)
-    reduced = _to_sum(grouped)
+    reduced = _to_sum(grouped, s)
     if check:  # each step of the order; the last one is the sum returned
         for k in range(1, len(X) + 1):
-            part = reduced if k == len(X) else _to_sum(_fold(X, order[:k]))
+            part = reduced if k == len(X) else _to_sum(_fold(X, order[:k]), s)
             spot_check(part, laplace_generating([X[i] for i in order[:k]]), X, seed)
 
     rf = ReducedForm(tuple(X), reduced)
@@ -193,16 +216,16 @@ def toric_reduce(X, check: bool = False, seed: int = 0) -> ReducedForm:
 
 
 def fold_step(acc: Grouped, a: Vec, cap: float = math.inf) -> Grouped | None:
-    """acc / (1 - e^{-<a,x>}), grouped; None as soon as the entries produced
-    so far carry more than cap distinct (shift, denominator) keys, zero
-    coefficients included.  acc is left unchanged."""
+    """acc / (1 - e^{-<a,x>}), grouped, acc's shifts packed as _fold packs
+    them; None as soon as the entries produced so far carry more than cap
+    distinct (shift, denominator) keys, zero coefficients included.  acc is
+    left unchanged."""
     out: Grouped = {}
     size = 0
     for denom, num in acc.items():
         groups = None if any(v == a for v, _ in denom) else _absorption_data(denom, a)
         if groups is None:  # a merges into the power or is appended
-            unit = ((0,) * len(a), 1),
-            groups = (_denominator(denom + ((a, 1),)), unit),
+            groups = (_denominator(denom + ((a, 1),)), ((0, 1),)),
         for d, factor in groups:
             target = out.setdefault(d, {})
             n = len(target)
@@ -216,7 +239,7 @@ def fold_step(acc: Grouped, a: Vec, cap: float = math.inf) -> Grouped | None:
 def _fold(X, order, cap: float = math.inf) -> Grouped | None:
     """The unit term folded through X[i] for i in order; None as soon as a
     step carries more than cap distinct terms."""
-    acc = {(): {(0,) * len(X[0]): 1}}
+    acc = {(): {0: 1}}
     for i in order:
         acc = fold_step(acc, X[i], cap)
         if acc is None:
@@ -297,17 +320,39 @@ def _denominator(factors) -> Denom:
     return tuple(sorted(merged.items()))
 
 
+def _pack(shift: Vec) -> int:
+    """sum_i shift[i] * STRIDE^i; InvariantError past ENTRY_LIMIT."""
+    packed = 0
+    for c in reversed(shift):
+        if abs(c) > ENTRY_LIMIT:
+            raise InvariantError(f"shift {shift} is past the packed-shift bound {ENTRY_LIMIT}")
+        packed = packed * STRIDE + c
+    return packed
+
+
+def _unpack(packed: int, s: int) -> Vec:
+    """The shift in Z^s that _pack (or a sum of its values) gives packed."""
+    out = []
+    for _ in range(s):
+        c = (packed + STRIDE // 2) % STRIDE - STRIDE // 2
+        out.append(c)
+        packed = (packed - c) // STRIDE
+    return tuple(out)
+
+
 def _laurent(expr: ExpRatSum) -> Laurent:
-    """The numerator {shift: coeff} of a sum of exponentials without denominators."""
-    return {t.num.shift: t.num.coeff for t in expr.terms}
+    """The numerator {packed shift: coeff} of a sum of exponentials without
+    denominators."""
+    return {_pack(t.num.shift): t.num.coeff for t in expr.terms}
 
 
 def _accumulate(target: Laurent, num: Laurent, factor) -> None:
-    """target += num * factor, factor given as (shift, coeff) pairs."""
+    """target += num * factor, factor given as (packed shift, coeff) pairs."""
+    get = target.get
     for t, r in factor:
         for c, q in num.items():
-            k = tuple(map(add, c, t))
-            target[k] = target.get(k, 0) + q * r
+            k = c + t
+            target[k] = get(k, 0) + q * r
 
 
 def _nonzero(acc: Grouped) -> Grouped:
@@ -325,11 +370,11 @@ def _size(acc: Grouped) -> int:
     return sum(map(len, acc.values()))
 
 
-def _to_sum(acc: Grouped) -> ExpRatSum:
-    """The normalized ExpRatSum of a grouped sum: terms sorted by
-    (shift, denominator), one DenomFactor tuple per denominator."""
+def _to_sum(acc: Grouped, s: int) -> ExpRatSum:
+    """The normalized ExpRatSum of a grouped sum of shifts in Z^s: terms
+    sorted by (shift, denominator), one DenomFactor tuple per denominator."""
     factors = {d: tuple(DenomFactor(v, p) for v, p in d) for d in acc}
-    entries = sorted((c, d, q) for d, num in acc.items() for c, q in num.items())
+    entries = sorted((_unpack(c, s), d, q) for d, num in acc.items() for c, q in num.items())
     return ExpRatSum(tuple(ExpRatTerm(ExpMonomial(q, c), factors[d]) for c, d, q in entries))
 
 

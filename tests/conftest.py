@@ -62,6 +62,18 @@ def random_pointed_systems(count=50, seed=MASTER_SEED, det_cap=DET_CAP):
     return out
 
 
+def pinned_inputs():
+    """(label, X) of the golden digests: EX1, EX2, the seeded corpus and
+    every order of the two stress systems."""
+    inputs = [("ex1", EX1), ("ex2", EX2)]
+    inputs += [(f"seeded-{i:02d}", X) for i, X in enumerate(random_pointed_systems())]
+    for name, X in (("A", STRESS_A), ("B", STRESS_B)):
+        for perm in itertools.permutations(range(len(X))):
+            inputs.append((f"stress{name}-{''.join(map(str, perm))}",
+                           tuple(X[i] for i in perm)))
+    return inputs
+
+
 @pytest.fixture(scope="session")
 def random_systems():
     return random_pointed_systems()

@@ -1,14 +1,16 @@
+import hashlib
 import itertools
 import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EX1, EX2, random_pointed_systems
+from conftest import EX1, EX2, pinned_inputs, random_pointed_systems
 from dtpower.cli import closed_form_from_json, closed_form_to_json
 from dtpower.engines import box_points, brute_force_count
 from dtpower.errors import InvariantError
@@ -17,8 +19,11 @@ from dtpower.linalg import pointedness_certificate, rank
 from dtpower.quasipoly import (ClosedForm, ConePiece, MultiPoly, closed_form,
                                eval_closed, eval_closed_box,
                                inverse_laplace_term, merge_pieces,
-                               support_membership)
+                               support_membership, _clip, _range)
 from dtpower.toric import toric_reduce
+
+
+CLOSED_FORMS = Path(__file__).parent / "golden" / "closed-forms.txt"
 
 
 def poly_of(coeffs):
@@ -115,6 +120,19 @@ class TestClosedForm:
         cert = pointedness_certificate(EX2)
         for a in itertools.product(range(-6, 13), repeat=2):
             assert eval_closed(cf, a) == brute_force_count(EX2, a, cert)
+
+
+class TestPinnedOutput:
+    def test_closed_forms_match_golden_digests(self):
+        # sha256 of the sorted-key JSON of closed_form(X), written before the
+        # inversion moved to int; any change to a piece or a coefficient shows
+        want = dict(line.split() for line in CLOSED_FORMS.read_text().splitlines())
+        got = {}
+        for label, X in pinned_inputs():
+            doc = json.dumps(closed_form_to_json(closed_form(X)), sort_keys=True)
+            got[label] = hashlib.sha256(doc.encode()).hexdigest()
+        assert len(want) == 100
+        assert got == want
 
 
 class TestEvalClosed:
@@ -220,6 +238,44 @@ class TestBoxWalk:
         assert eval_closed(cf, (0, 2)) == 2
         with pytest.raises(ValueError, match="dimension 2"):
             eval_closed_box(cf, lo, hi)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-20, 20)), max_size=6),
+           st.integers(-10, 10), st.integers(-10, 10))
+    def test_range_solves_its_rows(self, rows, low, high):
+        want = [v for v in range(low, high + 1) if all(a * v <= r for a, r in rows)]
+        assert list(_range(rows, low, high)) == want
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 3).flatmap(lambda s: st.tuples(
+        *[st.tuples(*[st.integers(-4, 4)] * s)] * 5, st.tuples(*[st.integers(-3, 6)] * 4))))
+    def test_clip_meets_exactly_the_lines_that_cross_the_box(self, case):
+        # the m it yields are those whose line x + m*b + t*c, t real in
+        # t_bounds, meets the box, and their t ranges hold the lattice points
+        x, b, c, lo, width, (m_lo, m_span, t_lo, t_span) = case
+        hi = tuple(l + abs(w) for l, w in zip(lo, width))
+        m_bounds, t_bounds = (m_lo, m_lo + m_span), (t_lo, t_lo + t_span)
+
+        def point(m, t):
+            return tuple(xk + m * bk + t * ck for xk, bk, ck in zip(x, b, c))
+
+        def line_meets_box(m):
+            low, high = Fraction(t_bounds[0]), Fraction(t_bounds[1])
+            for l, h, yk, ck in zip(lo, hi, point(m, 0), c):
+                if ck == 0:
+                    if not l <= yk <= h:
+                        return False
+                    continue
+                ends = sorted((Fraction(l - yk, ck), Fraction(h - yk, ck)))
+                low, high = max(low, ends[0]), min(high, ends[1])
+            return low <= high
+
+        got = {m: list(ts) for m, ts in _clip(x, b, c, lo, hi, m_bounds, t_bounds)}
+        ms = range(m_bounds[0], m_bounds[1] + 1)
+        assert set(got) == {m for m in ms if line_meets_box(m)}
+        for m, ts in got.items():
+            assert ts == [t for t in range(t_bounds[0], t_bounds[1] + 1)
+                          if all(l <= v <= h for l, v, h in zip(lo, point(m, t), hi))]
 
     def test_corpus_reaches_every_clip_branch(self):
         # last basis vectors with positive, negative and zero coordinates

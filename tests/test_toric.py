@@ -1,12 +1,13 @@
 import hashlib
-import itertools
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EX1, EX2, STRESS_A, STRESS_B, random_pointed_systems
+from conftest import EX1, EX2, pinned_inputs, random_pointed_systems
 from dtpower import toric
 from dtpower.expalg import (DenomFactor, ExpRatSum, add, eval_numeric,
                             laplace_generating, make_sum, make_term, monomial,
@@ -21,18 +22,6 @@ RTOL = 1e-9
 CORPUS = random_pointed_systems()
 
 REDUCED_SUMS = Path(__file__).parent / "golden" / "reduced-sums.txt"
-
-
-def pinned_inputs():
-    """(label, X): EX1, EX2, the seeded corpus and every order of the two
-    stress systems."""
-    inputs = [("ex1", EX1), ("ex2", EX2)]
-    inputs += [(f"seeded-{i:02d}", X) for i, X in enumerate(CORPUS)]
-    for name, X in (("A", STRESS_A), ("B", STRESS_B)):
-        for perm in itertools.permutations(range(len(X))):
-            inputs.append((f"stress{name}-{''.join(map(str, perm))}",
-                           tuple(X[i] for i in perm)))
-    return inputs
 
 
 def one_minus_exp(v):
@@ -92,19 +81,28 @@ class TestExpandDependent:
         check_gamma_identity(rel, basis, expand_dependent(rel, basis))
 
 
+def unpacked_partial_fraction(y0, gammas, denom):
+    """partial_fraction with numerators {shift: int} over vector shifts,
+    packed on the way in and unpacked on the way out."""
+    s = len(y0[0])
+    packed = [({toric._pack(c): q for c, q in g.items()}, v) for g, v in gammas]
+    out = partial_fraction(y0, packed, denom)
+    return {d: {toric._unpack(c, s): q for c, q in num.items()} for d, num in out.items()}
+
+
 class TestPartialFraction:
     """Denominators are sorted (vector, power) pairs; numerators {shift: int}."""
 
     def test_constant_gamma(self):
         # 1/(y0*y1) with y0 = 2*y1  ->  2/y0^2
-        out = partial_fraction(((2,), 1), [({(0,): 2}, (1,))], (((1,), 1),))
+        out = unpacked_partial_fraction(((2,), 1), [({(0,): 2}, (1,))], (((1,), 1),))
         assert out == {(((2,), 2),): {(0,): 2}}
 
     def test_two_way_split(self):
         # 1/(y0*y1*y2) with y0 = y1 + y2 -> 1/(y0^2 y2) + 1/(y0^2 y1)
         denom = (((0, 1), 1), ((1, 0), 1))
         gammas = [({(0, 0): 1}, (1, 0)), ({(0, 0): 1}, (0, 1))]
-        out = partial_fraction(((1, 1), 1), gammas, denom)
+        out = unpacked_partial_fraction(((1, 1), 1), gammas, denom)
         assert out == {
             (((0, 1), 1), ((1, 1), 2)): {(0, 0): 1},
             (((1, 0), 1), ((1, 1), 2)): {(0, 0): 1},
@@ -113,16 +111,93 @@ class TestPartialFraction:
     def test_geometric_chain(self):
         # 1/(y0*y1^2) with y0 = (1+e^{-x})*y1 -> (1+2e^{-x}+e^{-2x})/y0^3
         gamma = {(0,): 1, (-1,): 1}
-        out = partial_fraction(((2,), 1), [(gamma, (1,))], (((1,), 2),))
+        out = unpacked_partial_fraction(((2,), 1), [(gamma, (1,))], (((1,), 2),))
         assert out == {(((2,), 3),): {(0,): 1, (-1,): 2, (-2,): 1}}
 
     def test_power_conservation(self):
         denom = (((0, 1), 3), ((1, 0), 2))
         gammas = [({(0, 0): 1}, (1, 0)), ({(0, 0): 1}, (0, 1))]
-        out = partial_fraction(((1, 1), 1), gammas, denom)
+        out = unpacked_partial_fraction(((1, 1), 1), gammas, denom)
         assert out
         for d in out:
             assert sum(p for _, p in d) == 1 + 5
+
+
+def shifts(limit):
+    """Vectors of dimension 1 to 3 with coordinates in [-limit, limit]."""
+    return st.integers(1, 3).flatmap(
+        lambda s: st.tuples(*[st.integers(-limit, limit)] * s))
+
+
+class TestPackedShifts:
+    """Inside toric a shift is one int, sum_i c_i * STRIDE^i."""
+
+    def test_reach_fits_the_stride(self):
+        assert toric.REACH < toric.STRIDE // 2
+        assert toric.REACH == sum(range(toric.MAX_POWER + 1)) * toric.ENTRY_LIMIT
+
+    @settings(max_examples=300)
+    @given(shifts(toric.REACH))
+    @example((toric.REACH,))
+    @example((-toric.REACH, toric.REACH, -toric.REACH))
+    @example((toric.REACH, -toric.REACH, 0))
+    @example((0, 0, -1))
+    def test_unpack_round_trip_over_reach(self, c):
+        packed = sum(x * toric.STRIDE ** i for i, x in enumerate(c))
+        assert toric._unpack(packed, len(c)) == c
+
+    @settings(max_examples=300)
+    @given(shifts(toric.ENTRY_LIMIT))
+    @example((toric.ENTRY_LIMIT, -toric.ENTRY_LIMIT, toric.ENTRY_LIMIT))
+    @example((-1,))
+    def test_pack_round_trip(self, c):
+        assert toric._unpack(toric._pack(c), len(c)) == c
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 3).flatmap(lambda s: st.lists(
+        st.tuples(*[st.integers(-toric.ENTRY_LIMIT, toric.ENTRY_LIMIT)] * s),
+        min_size=1, max_size=toric.REACH // toric.ENTRY_LIMIT)))
+    def test_sum_of_packed_is_packed_sum(self, cs):
+        total = tuple(map(sum, zip(*cs)))
+        assert toric._unpack(sum(map(toric._pack, cs)), len(total)) == total
+
+    def test_sum_at_the_reach(self):
+        n = toric.REACH // toric.ENTRY_LIMIT
+        for c in [(toric.ENTRY_LIMIT,), (-toric.ENTRY_LIMIT, toric.ENTRY_LIMIT, -toric.ENTRY_LIMIT)]:
+            got = toric._unpack(n * toric._pack(c), len(c))
+            assert got == tuple(n * x for x in c)
+
+    def test_guards_raise_also_under_python_O(self):
+        # each limit of the bound fails loudly instead of aliasing two shifts
+        script = """
+import sys
+from dtpower import toric
+from dtpower.errors import InvariantError
+from dtpower.expalg import DenomFactor, make_term
+cases = [
+    lambda: toric._pack((0, toric.ENTRY_LIMIT + 1)),
+    lambda: toric._pack((-toric.ENTRY_LIMIT - 1,)),
+    # the relation 1*(2000) = 2000*(1) puts e^{-1999x} in a gamma
+    lambda: toric.toric_reduce([(2000,), (1,)]),
+    lambda: toric.absorb_vector(make_term(1, (toric.ENTRY_LIMIT + 1,), [DenomFactor((1,), 1)]), (1,)),
+    lambda: toric.absorb_vector(make_term(1, (0,), [DenomFactor((1,), toric.MAX_POWER)]), (2,)),
+]
+for case in cases:
+    try:
+        case()
+    except InvariantError as e:
+        print("raised:", e)
+    else:
+        sys.exit("no InvariantError")
+"""
+        src = str(Path(toric.__file__).parents[1])
+        for flags in ([], ["-O"]):
+            run = subprocess.run([sys.executable, *flags, "-c", script], cwd=src,
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            assert run.stdout.count("raised:") == 5
+        assert toric.absorb_vector(make_term(1, (toric.ENTRY_LIMIT,), [DenomFactor((1,), 1)]), (1,))
+        assert toric.absorb_vector(make_term(1, (0,), [DenomFactor((1,), toric.MAX_POWER - 1)]), (2,))
 
 
 class TestAbsorbVector:
