@@ -19,7 +19,8 @@ ExpRatSum.
 Inside the module a shift is one packed int (see STRIDE), so multiplying
 numerators adds ints and builds no tuple per product.  Shifts are packed
 where they enter, the monomials of a gamma or of beta and the numerator of
-the unit term or of absorb_vector's term, and unpacked once, in _to_sum.
+the unit term, and unpacked once, in _to_sum; absorb_vector adds its term's
+shift after unpacking.
 
 The reduction is order-dependent and non-unique; correctness is semantic
 (formal-identity preservation, spot-checked numerically in debug mode).
@@ -55,10 +56,16 @@ Grouped = dict[Denom, Laurent]      # the working sum: denominator -> numerator
 # power of denom, which it requires below MAX_POWER; and the k-th step of a
 # fold from the unit term absorbs denominators of power k - 1.  So a fold
 # moves a coordinate by at most (1 + ... + MAX_POWER) * ENTRY_LIMIT = REACH,
-# and absorb_vector moves its term's shift by at most MAX_POWER *
-# ENTRY_LIMIT.  A 3-D shift fits in 63 bits.
-STRIDE = 1 << 21
-MAX_POWER = 32
+# and absorb_vector, which adds its term's shift after unpacking, by at most
+# MAX_POWER * ENTRY_LIMIT.  Both limits are wide: ENTRY_LIMIT is about
+# 2.3 * 10^18, and a fold that absorbs into power MAX_POWER folds over 1,024
+# vectors, on which choose_fold's first seed alone tries over 500,000
+# candidate steps.
+# STRIDE is 2^81 rather than 2^64 for the dict lookups: CPython hashes an
+# int modulo 2^61 - 1, where 2^64 is 8 and the shifts (8, 0) and (0, 1)
+# would collide, while 2^81 and 2^162 are 2^20 and 2^40.
+STRIDE = 1 << 81
+MAX_POWER = 1024
 ENTRY_LIMIT = (STRIDE // 2 - 1) // (MAX_POWER * (MAX_POWER + 1) // 2)
 REACH = MAX_POWER * (MAX_POWER + 1) // 2 * ENTRY_LIMIT
 
@@ -185,8 +192,10 @@ def absorb_vector(term: ExpRatTerm, a: Vec) -> list[ExpRatTerm]:
     if is_zero(a):
         raise ValueError("cannot absorb the zero vector")
     denom = tuple((f.vector, f.power) for f in term.denom)
-    acc = {denom: {_pack(term.num.shift): term.num.coeff}}
-    return list(_to_sum(fold_step(acc, a), len(a)).terms)
+    folded = _to_sum(fold_step({denom: {0: term.num.coeff}}, a), len(a))
+    shift = term.num.shift
+    return [ExpRatTerm(ExpMonomial(t.num.coeff, vadd(t.num.shift, shift)), t.denom)
+            for t in folded.terms]
 
 
 def toric_reduce(X, check: bool = False, seed: int = 0) -> ReducedForm:
