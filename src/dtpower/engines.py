@@ -2,8 +2,11 @@
 
 Three ways to count nonnegative integer solutions of sum beta_i a_i = alpha:
 exhaustive enumeration bounded by a pointedness certificate (the ground
-truth), the removal recursion t_X(alpha) = sum_j t_{X minus a}(alpha - j*a),
-and evaluation of the toric closed form.
+truth; the last vector's multiplier runs only over the range that lands in
+the box), the removal recursion of Dahmen and Micchelli in its telescoped
+form t_X(alpha) = t_{X minus a}(alpha) + t_X(alpha - a), walked along the
+line alpha, alpha - a, ... with every point memoised, and evaluation of the
+toric closed form.
 """
 
 from __future__ import annotations
@@ -11,10 +14,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import product
+from operator import add, mul, sub
 
 from .expalg import laplace_generating, spot_check
 from .linalg import (PointedCertificate, Vec, check_system, column_solver,
-                     dot, pointedness_certificate, rank, scale, vsub)
+                     dot, pointedness_certificate, rank)
 from .quasipoly import closed_form, eval_closed_box
 from .toric import toric_reduce
 
@@ -44,8 +48,10 @@ def brute_force_box(X, lo: Vec, hi: Vec, certificate: PointedCertificate) -> dic
     Enumerates all beta whose certificate pairing fits below the box maximum
     and histograms sum beta_i a_i.  The certificate bounds each coordinate:
     beta_i <= cap/<xi,a_i>, and pairings only grow along a branch, so nothing
-    in the box is pruned away.  Raises ValueError for a box whose corners do
-    not have X's dimension.
+    in the box is pruned away.  At the last vector the multiplier runs only
+    over the integer range that keeps the point inside the box, so every
+    solution in the box is still visited once and none outside it is.
+    Raises ValueError for a box whose corners do not have X's dimension.
     """
     X = [tuple(a) for a in X]
     s = len(X[0])
@@ -54,13 +60,17 @@ def brute_force_box(X, lo: Vec, hi: Vec, certificate: PointedCertificate) -> dic
     xs, _ = certificate.scaled()
     weights = [dot(xs, a) for a in X]
     cap = sum(max(x * l, x * h) for x, l, h in zip(xs, lo, hi))
+    last, w_last = X[-1], weights[-1]
     n = len(X)
     counts: dict[Vec, int] = {}
 
     def walk(i: int, point: Vec, used: int) -> None:
-        if i == n:
-            if all(l <= c <= h for l, c, h in zip(lo, point, hi)):
+        if i == n - 1:
+            j, top = _clip_line(point, last, lo, hi, (cap - used) // w_last)
+            point = tuple(p + j * c for p, c in zip(point, last))
+            for _ in range(top - j + 1):
                 counts[point] = counts.get(point, 0) + 1
+                point = tuple(map(add, point, last))
             return
         a, w = X[i], weights[i]
         for j in range((cap - used) // w + 1):
@@ -71,6 +81,22 @@ def brute_force_box(X, lo: Vec, hi: Vec, certificate: PointedCertificate) -> dic
     return counts
 
 
+def _clip_line(point: Vec, a: Vec, lo: Vec, hi: Vec, top: int) -> tuple[int, int]:
+    """(first, last): the j in 0..top with lo <= point + j*a <= hi are
+    exactly first..last; first > last when there is none."""
+    first = 0
+    for p, c, l, h in zip(point, a, lo, hi):
+        if c > 0:
+            first = max(first, -((p - l) // c))
+            top = min(top, (h - p) // c)
+        elif c < 0:
+            first = max(first, -((h - p) // -c))
+            top = min(top, (p - l) // -c)
+        elif not l <= p <= h:
+            return 0, -1
+    return first, top
+
+
 def independent_count(A, alpha) -> int:
     """1 iff alpha is a nonnegative integer combination of the independent set A."""
     A = tuple(tuple(a) for a in A)
@@ -79,14 +105,18 @@ def independent_count(A, alpha) -> int:
         raise ValueError(f"dimension mismatch: {len(A[0])} vs {len(alpha)}")
     if not A:
         return int(not any(alpha))
-    solved = column_solver(A)
+    return _solved_count(column_solver(A), alpha)
+
+
+def _solved_count(solved, alpha: Vec) -> int:
+    """independent_count of the columns that column_solver solved as `solved`."""
     if solved is None:
         return 0
     d, adj, null = solved
-    if any(dot(row, alpha) for row in null):
+    if any(sum(map(mul, row, alpha)) for row in null):
         return 0  # alpha is outside the span of A
     for row in adj:
-        num = dot(row, alpha)
+        num = sum(map(mul, row, alpha))
         if num < 0 or num % d:
             return 0
     return 1
@@ -95,7 +125,17 @@ def independent_count(A, alpha) -> int:
 class DMContext:
     """One evaluation context for the removal recursion, with memoization
     keyed on (prefix length, alpha).  X need only be pointed: the removal
-    identity counts rank-deficient subsystems too."""
+    identity counts rank-deficient subsystems too.
+
+    With t_k the count over the first k vectors and t_k(beta) = 0 whenever
+    the certificate pairing <xs, beta> is negative, the recursion is the
+    telescoped t_k(alpha) = t_{k-1}(alpha) + t_k(alpha - a_k).  One query
+    walks down the line alpha, alpha - a_k, ... until a memo hit or a
+    negative pairing, then fills the line back up, memoising every point, so
+    the work is in proportion to the points reached.  Python recursion goes
+    one level per vector, never along a line.  The base case is the longest
+    linearly independent prefix, solved once per context.
+    """
 
     def __init__(self, X, certificate=None):
         self.X = [tuple(a) for a in X]
@@ -109,25 +149,39 @@ class DMContext:
         while k < len(self.X) and rank(self.X[:k + 1]) == k + 1:
             k += 1
         self.base_len = k
+        self._base = column_solver(tuple(self.X[:k]))
         self.memo: dict[tuple[int, Vec], int] = {}
 
     def count(self, alpha, k: int | None = None) -> int:
         if k is None:
             k = len(self.X)
         alpha = tuple(alpha)
-        if dot(self.xs, alpha) < 0:
+        u = dot(self.xs, alpha)
+        if u < 0:
             return 0
-        if k <= self.base_len:
+        if k < self.base_len:
             return independent_count(self.X[:k], alpha)
-        key = (k, alpha)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
+        return self._count(alpha, u, k)
+
+    def _count(self, alpha: Vec, u: int, k: int) -> int:
+        """t_k(alpha) for k >= base_len, given u = <xs, alpha> >= 0."""
+        if k == self.base_len:
+            return _solved_count(self._base, alpha)
+        memo = self.memo
         a, w = self.X[k - 1], self.weights[k - 1]
-        bound = dot(self.xs, alpha) // w
-        total = sum(self.count(vsub(alpha, scale(a, j)), k - 1)
-                    for j in range(bound + 1))
-        self.memo[key] = total
+        line = []
+        total = 0
+        while u >= 0:
+            hit = memo.get((k, alpha))
+            if hit is not None:
+                total = hit
+                break
+            line.append((alpha, u))
+            alpha = tuple(map(sub, alpha, a))
+            u -= w
+        for alpha, u in reversed(line):
+            total += self._count(alpha, u, k - 1)
+            memo[(k, alpha)] = total
         return total
 
 

@@ -1,5 +1,6 @@
-"""Shared fixtures: the two worked systems and a seeded generator of random
-pointed systems used by the property and acceptance tests."""
+"""Shared fixtures: the two worked systems, a seeded generator of random
+pointed systems used by the property and acceptance tests, and a hypothesis
+strategy of small pointed systems."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from dtpower.linalg import det_adj, pointedness_certificate, rank
 
@@ -72,6 +75,17 @@ def pinned_inputs():
             inputs.append((f"stress{name}-{''.join(map(str, perm))}",
                            tuple(X[i] for i in perm)))
     return inputs
+
+
+@st.composite
+def pointed_systems(draw):
+    """Full-rank pointed systems: s <= 2, #X <= 4, entries in [-2, 2]."""
+    s = draw(st.integers(1, 2))
+    n = draw(st.integers(s, 4))
+    vector = st.tuples(*[st.integers(-2, 2)] * s).filter(any)
+    X = draw(st.lists(vector, min_size=n, max_size=n))
+    assume(rank(X) == s and pointedness_certificate(X) is not None)
+    return X
 
 
 @pytest.fixture(scope="session")

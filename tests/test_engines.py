@@ -1,14 +1,71 @@
 import itertools
+import math
+from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EX1, EX2
+from conftest import EX1, EX2, pointed_systems, random_pointed_systems
 from dtpower.engines import (DMContext, brute_force_box, brute_force_count,
                              cross_check, dm_count, independent_count)
-from dtpower.linalg import pointedness_certificate, rank, solve_columns
+from dtpower.linalg import det_adj, pointedness_certificate, rank, solve_columns
+from dtpower.quasipoly import closed_form, support_membership
 from dtpower.toric import toric_reduce
+
+CORPUS = random_pointed_systems()
+# systems whose recursion base is a prefix of fewer than s vectors
+DEPENDENT_PREFIX = [
+    ((1, 0), (2, 0), (0, 1)),
+    ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)),
+    ((1, 2, 0), (2, 4, 0), (0, 1, 1), (1, 0, 1)),
+]
+
+
+def pairing(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def unclipped_box(X, lo, hi, cert):
+    """brute_force_box without the clip at the last vector: every beta under
+    the certificate cap, each point tested against the box."""
+    xs, _ = cert.scaled()
+    weights = [pairing(xs, a) for a in X]
+    cap = sum(max(x * l, x * h) for x, l, h in zip(xs, lo, hi))
+    counts = {}
+
+    def walk(i, point, used):
+        if i == len(X):
+            if all(l <= c <= h for l, c, h in zip(lo, point, hi)):
+                counts[point] = counts.get(point, 0) + 1
+            return
+        for j in range((cap - used) // weights[i] + 1):
+            walk(i + 1, tuple(p + j * c for p, c in zip(point, X[i])), used + j * weights[i])
+
+    if cap >= 0:
+        walk(0, (0,) * len(lo), 0)
+    return counts
+
+
+@st.composite
+def brute_boxes(draw):
+    """(X, lo, hi): a small pointed system or a seeded corpus system of
+    dimension <= 2, and a box that is random, a single point, with a far
+    negative lower corner, or wholly below the cone (every corner pairs
+    negatively with the certificate, so the cap is negative)."""
+    X = draw(st.one_of(pointed_systems(), st.sampled_from([X for X in CORPUS if len(X[0]) <= 2])))
+    s = len(X[0])
+    kind = draw(st.sampled_from(["random", "single", "negative", "below"]))
+    lo = tuple(draw(st.integers(-6, 6)) for _ in range(s))
+    hi = lo if kind == "single" else tuple(l + draw(st.integers(0, {1: 20, 2: 6}[s])) for l in lo)
+    if kind == "negative":
+        lo = tuple(l - draw(st.integers(1, 12)) for l in lo)
+    if kind == "below":
+        xs, _ = pointedness_certificate(X).scaled()
+        m = max(0, sum(max(x * l, x * h) for x, l, h in zip(xs, lo, hi)) // pairing(xs, xs) + 1)
+        lo = tuple(l - m * x for l, x in zip(lo, xs))
+        hi = tuple(h - m * x for h, x in zip(hi, xs))
+    return X, lo, hi
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +98,20 @@ class TestBruteForce:
         table = brute_force_box(EX2, lo, hi, cert2)
         for a in itertools.product(range(-4, 7), repeat=2):
             assert table.get(a, 0) == brute_force_count(EX2, a, cert2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(brute_boxes())
+    # last vector with a negative coordinate, with a zero one, a one-point
+    # box, and a box below the cone
+    @example((EX2, (-2, -3), (5, 4)))
+    @example(([(1, 1), (1, 0)], (-1, -2), (5, 3)))
+    @example(([(0, 1), (2, -1)], (-4, -4), (4, 4)))
+    @example((EX1, (7,), (7,)))
+    @example((EX2, (-9, -9), (-5, -2)))
+    def test_clipped_box_equals_unclipped_enumeration(self, case):
+        X, lo, hi = case
+        cert = pointedness_certificate(X)
+        assert brute_force_box(X, lo, hi, cert) == unclipped_box(X, lo, hi, cert)
 
     @pytest.mark.parametrize("lo,hi", [((0,), (3,)), ((0, 0, 0), (3, 3, 3))])
     def test_box_of_another_dimension_rejected(self, cert2, lo, hi):
@@ -128,11 +199,7 @@ class TestRecursion:
                         total += sub.count(shifted)
                 assert total == full.count(alpha)
 
-    @pytest.mark.parametrize("X", [
-        ((1, 0), (2, 0), (0, 1)),
-        ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)),
-        ((1, 2, 0), (2, 4, 0), (0, 1, 1), (1, 0, 1)),
-    ])
+    @pytest.mark.parametrize("X", DEPENDENT_PREFIX)
     def test_dependent_prefix_agrees_with_brute_force(self, X):
         # the base case is a prefix of fewer than s vectors
         ctx = DMContext(X)
@@ -147,6 +214,107 @@ class TestRecursion:
         cert = pointedness_certificate(bigger)
         for a in range(-2, 15):
             assert dm_count(bigger, (a,)) >= dm_count(list(EX1), (a,))
+
+
+def coin_change(coins, target):
+    """Ways to write target as a sum of the coins, by the textbook table."""
+    ways = [1] + [0] * target
+    for c in coins:
+        for t in range(c, target + 1):
+            ways[t] += ways[t - c]
+    return ways[target]
+
+
+def summed_recursion(X):
+    """The removal recursion as a sum over the last vector's multiplier,
+    t_k(alpha) = sum_j t_{k-1}(alpha - j*a_k), down to the empty prefix."""
+    X = [tuple(a) for a in X]
+    xs, _ = pointedness_certificate(X).scaled()
+
+    @lru_cache(maxsize=None)
+    def t(k, alpha):
+        u = pairing(xs, alpha)
+        if u < 0:
+            return 0
+        if k == 0:
+            return int(not any(alpha))
+        a = X[k - 1]
+        return sum(t(k - 1, tuple(c - j * b for c, b in zip(alpha, a)))
+                   for j in range(u // pairing(xs, a) + 1))
+    return lambda alpha: t(len(X), tuple(alpha))
+
+
+def finite_difference(values):
+    """The (len(values) - 1)-th forward difference of equally spaced values."""
+    m = len(values) - 1
+    return sum((-1) ** (m - i) * math.comb(m, i) * y for i, y in enumerate(values))
+
+
+# Largest certificate pairing of a point on a theorem line: the recursion's
+# memo grows with the lattice points below it.
+LINE_BUDGET = 3000
+
+
+@lru_cache(maxsize=None)
+def theorem_systems():
+    """(X, pieces, P, context) for EX1, EX2 and the seeded systems of
+    dimension <= 2 with #X > s whose lines stay within LINE_BUDGET; P is the
+    lcm of the pieces' |det|.  One DMContext per system serves every line."""
+    out = []
+    for X in [EX1, EX2] + CORPUS:
+        s, n = len(X[0]), len(X)
+        if s > 2 or n == s:
+            continue
+        pieces = closed_form(X).pieces
+        P = math.lcm(*(det_adj(p.basis)[0] for p in pieces))
+        xs, _ = pointedness_certificate(X).scaled()
+        if (n - s + 3) * P * sum(pairing(xs, a) for a in X) + 6 * sum(xs) <= LINE_BUDGET:
+            out.append((X, pieces, P, DMContext(X)))
+    return out
+
+
+class TestTelescopedRecursion:
+    """DMContext walks t_k(alpha) = t_{k-1}(alpha) + t_k(alpha - a_k) down a
+    line; it must count exactly what the summed recursion counts, in work
+    proportional to the points reached."""
+
+    def test_far_point_matches_coin_change(self):
+        # seconds for the summed recursion, milliseconds for the telescoped one
+        assert dm_count([(1,), (2,), (3,), (5,)], (2000,)) == 44812012
+        assert coin_change([1, 2, 3, 5], 2000) == 44812012
+
+    @pytest.mark.parametrize("X,box", [
+        (EX1, [(a,) for a in range(-6, 31)]),
+        (EX2, list(itertools.product(range(-4, 13), repeat=2))),
+    ] + [(X, list(itertools.product(range(-2, 6), repeat=len(X[0]))))
+         for X in DEPENDENT_PREFIX])
+    def test_agrees_with_summed_recursion(self, X, box):
+        ctx = DMContext(X)
+        reference = summed_recursion(X)
+        for a in box:
+            assert ctx.count(a) == reference(a), a
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_polynomial_along_a_line_in_one_chamber(self, data):
+        # The paper's theorem, checked on the recursion alone: on a line
+        # alpha + k*P*v the lattice cosets of all pieces are fixed, so where
+        # the set of pieces containing the point does not change, t_X is one
+        # polynomial in k of degree <= n - s.
+        X, pieces, P, ctx = data.draw(st.sampled_from(theorem_systems()))
+        s, n = len(X[0]), len(X)
+        alpha = tuple(data.draw(st.integers(-3, 6)) for _ in range(s))
+        coeffs = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(any))
+        v = tuple(pairing(coeffs, [a[k] for a in X]) for k in range(s))
+        line = [tuple(c + k * P * d for c, d in zip(alpha, v)) for k in range(n - s + 4)]
+        counts = [ctx.count(p) for p in line]
+        inside = [frozenset(i for i, pc in enumerate(pieces)
+                            if support_membership(pc.basis, pc.offset, p)) for p in line]
+        window = n - s + 2
+        runs = [k for k in range(len(line) - window + 1) if len(set(inside[k:k + window])) == 1]
+        assume(runs)
+        for k in runs:
+            assert finite_difference(counts[k:k + window]) == 0, (line[k], v)
 
 
 class TestCrossCheck:

@@ -1,30 +1,18 @@
 """The fold order chosen by toric_reduce: counts never depend on it, and the
 chosen fold is never larger than the input-order fold."""
 
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import STRESS_A
+from conftest import STRESS_A, pointed_systems
 from dtpower.engines import DMContext, box_points
 from dtpower.expalg import make_sum, make_term
-from dtpower.linalg import pointedness_certificate, rank
 from dtpower.quasipoly import closed_form, eval_closed_box
 from dtpower.toric import absorb_vector, toric_reduce
 
 BOXES = {1: ((-3,), (12,)), 2: ((-3, -3), (6, 6))}
 
 FEW = settings(max_examples=40, deadline=None)
-
-
-@st.composite
-def pointed_systems(draw):
-    """Full-rank pointed systems: s <= 2, #X <= 4, entries in [-2, 2]."""
-    s = draw(st.integers(1, 2))
-    n = draw(st.integers(s, 4))
-    vector = st.tuples(*[st.integers(-2, 2)] * s).filter(any)
-    X = draw(st.lists(vector, min_size=n, max_size=n))
-    assume(rank(X) == s and pointedness_certificate(X) is not None)
-    return X
 
 
 def input_order_fold(X):
