@@ -4,7 +4,7 @@ force and the removal recursion."""
 
 from .engines import (CountReport, DMContext, brute_force_count, cross_check,
                       dm_count, independent_count)
-from .errors import InvariantError
+from .errors import BudgetError, InvariantError
 from .linalg import (IntegerRelation, PointedCertificate, integer_relation,
                      pointedness_certificate, rank)
 from .quasipoly import (ClosedForm, ConePiece, MultiPoly, closed_form,
@@ -13,7 +13,7 @@ from .toric import ReducedForm, toric_reduce
 
 __all__ = [
     "CountReport", "DMContext", "brute_force_count", "cross_check",
-    "dm_count", "independent_count", "InvariantError", "IntegerRelation",
+    "dm_count", "independent_count", "BudgetError", "InvariantError", "IntegerRelation",
     "PointedCertificate", "integer_relation", "pointedness_certificate",
     "rank", "ClosedForm",
     "ConePiece", "MultiPoly", "closed_form", "eval_closed",

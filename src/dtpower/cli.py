@@ -4,7 +4,7 @@ Subcommands: count | reduce | closed-form | verify | bench.  Input is one
 vector per line of whitespace-separated integers ('#' comments allowed),
 taken from a positional file or standard input.  Exit codes: 0 success,
 2 invalid input or usage, 3 verification failure, 4 broken internal
-invariant (a bug).
+invariant (a bug), 5 a size budget exceeded.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .engines import brute_force_count, cross_check, dm_count
-from .errors import InvariantError
+from .errors import BudgetError, InvariantError
 from .linalg import Vec, check_system
 from .quasipoly import ClosedForm, ConePiece, MultiPoly, closed_form, eval_closed
 from .toric import toric_reduce
@@ -311,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dtpower",
         description="Count nonnegative integer solutions of sum(beta_i * a_i) = alpha.",
         epilog="exit codes: 0 success, 2 invalid input or usage, 3 verification "
-               "failure, 4 broken internal invariant (a bug; please report it)")
+               "failure, 4 broken internal invariant (a bug; please report it), "
+               "5 valid input too large: a term or memo budget exceeded")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -361,6 +362,9 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"error: internal invariant broken: {exc}", file=sys.stderr)
         return 4
+    except BudgetError as exc:
+        print(f"error: budget exceeded: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

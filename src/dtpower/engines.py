@@ -16,11 +16,17 @@ from dataclasses import dataclass, field
 from itertools import product
 from operator import add, mul, sub
 
+from .errors import BudgetError
 from .expalg import laplace_generating, spot_check
 from .linalg import (PointedCertificate, Vec, check_system, column_solver,
                      dot, pointedness_certificate, rank)
 from .quasipoly import closed_form, eval_closed_box
 from .toric import toric_reduce
+
+# The default memo budget of DMContext, in entries.  An entry takes about
+# 225 bytes (CPython 3.11), so the default stops a context near 450 MiB;
+# the tests' largest context holds about 82,000.
+MEMO_BUDGET = 2_000_000
 
 
 @dataclass
@@ -135,9 +141,12 @@ class DMContext:
     the work is in proportion to the points reached.  Python recursion goes
     one level per vector, never along a line.  The base case is the longest
     linearly independent prefix, solved once per context.
+
+    budget caps the memo's entries, MEMO_BUDGET when None: a query that
+    would take the memo past it raises BudgetError instead.
     """
 
-    def __init__(self, X, certificate=None):
+    def __init__(self, X, certificate=None, budget: int | None = None):
         self.X = [tuple(a) for a in X]
         self.cert = certificate or pointedness_certificate(self.X)
         if self.cert is None:
@@ -151,6 +160,7 @@ class DMContext:
         self.base_len = k
         self._base = column_solver(tuple(self.X[:k]))
         self.memo: dict[tuple[int, Vec], int] = {}
+        self.budget = MEMO_BUDGET if budget is None else budget
 
     def count(self, alpha, k: int | None = None) -> int:
         if k is None:
@@ -167,7 +177,7 @@ class DMContext:
         """t_k(alpha) for k >= base_len, given u = <xs, alpha> >= 0."""
         if k == self.base_len:
             return _solved_count(self._base, alpha)
-        memo = self.memo
+        memo, budget = self.memo, self.budget
         a, w = self.X[k - 1], self.weights[k - 1]
         line = []
         total = 0
@@ -181,6 +191,8 @@ class DMContext:
             u -= w
         for alpha, u in reversed(line):
             total += self._count(alpha, u, k - 1)
+            if len(memo) >= budget:
+                raise BudgetError(f"the removal recursion's memo would pass its budget of {budget:,} entries")
             memo[(k, alpha)] = total
         return total
 

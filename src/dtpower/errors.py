@@ -1,4 +1,4 @@
-"""The error a broken internal invariant raises."""
+"""The errors that are neither bad input nor a failed verification."""
 
 
 class InvariantError(AssertionError):
@@ -8,3 +8,9 @@ class InvariantError(AssertionError):
     python -O.  A subclass of AssertionError, so handlers written for the
     asserts it replaces still catch it.
     """
+
+
+class BudgetError(Exception):
+    """A computation would pass its size budget: valid input, too large to
+    finish here.  Raised before the work is done, not after; never an
+    InvariantError."""

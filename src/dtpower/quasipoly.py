@@ -9,9 +9,17 @@ independent denominator basis B inverts to a single polynomial piece
 supported on the shifted lattice cone offset + N*b_1 + ... + N*b_s with
 offset = -c - sum_i (h_i - 1) * b_i.  Summing the pieces of a full toric
 reduction evaluates, exactly, to the number of nonnegative integer solutions
-of sum beta_i a_i = alpha at every integer point.  The linear factors are
-multiplied over int; Fraction first appears at the one division per
-monomial, when the piece's MultiPoly is built.
+of sum beta_i a_i = alpha at every integer point.
+
+A piece's polynomial depends on its term's denominator D, on the scale q
+and on c only through t_i = <w_i, c>, with w_i the primitive normal
+B_i^perp.  So what depends on D alone is computed once per denominator, in
+a cache keyed on D (_inversion_data): the basis and its adjugate, the w_i, the
+pairs <w_i, b_i>, the divisor, sum_i (h_i - 1) * b_i, and the product of
+the linear factors expanded over int in alpha and in the t_i.  Per term
+come the t_i, that product at them and the offset.  Fraction first
+appears at the one division per monomial, when the piece's MultiPoly is
+built.
 
 The evaluators do not test the pieces one by one.  On its first evaluation
 a ClosedForm compiles itself, once: the pieces are grouped by basis, with
@@ -31,10 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from math import factorial, gcd, lcm
-from operator import add
+from operator import add, mul
 
 from .errors import InvariantError
 from .expalg import ExpRatTerm
@@ -121,7 +129,7 @@ class _Compiled:
             if p.basis not in solvers:
                 solvers[p.basis] = _solver(p.basis) + ({},)
             d, adj, buckets = solvers[p.basis]
-            nums = tuple((int(c * self.denominator),
+            nums = tuple((c.numerator * (self.denominator // c.denominator),
                           tuple((k, e) for k, e in enumerate(exps) if e))
                          for exps, c in p.poly.monomials.items())
             low = tuple(dot(row, p.offset) for row in adj)
@@ -162,31 +170,66 @@ def support_membership(basis, offset: Vec, alpha: Vec) -> bool:
 def inverse_laplace_term(term: ExpRatTerm) -> ConePiece:
     """One reduced term to one polynomial piece on a shifted lattice cone.
 
-    The linear factors are multiplied over int; the one division, by
-    prod (h_i - 1)! * pair_i^(h_i - 1), comes when the MultiPoly is built.
+    Everything that depends only on the denominator is computed once per
+    denominator (_inversion_data), the product of the linear factors
+    included, expanded in alpha and in the pairings t_i = <w_i, c>.  Per
+    term come the pairings, that product at them, over int, and the
+    offset; the one division, by prod (h_i - 1)! * pair_i^(h_i - 1), comes
+    when the MultiPoly is built.
     """
-    basis = tuple(f.vector for f in term.denom)
+    basis, ws, table, divisor, lift = _inversion_data(term.denom)
+    q, c = term.num.coeff, term.num.shift
+    t = [sum(map(mul, w, c)) for w in ws]
+    mono = {}
+    for e, entries in table:
+        v = 0
+        for r, ks in entries:
+            for i, k in ks:
+                r *= t[i] ** k
+            v += r
+        if v:
+            mono[e] = Fraction(q * v, divisor)
+    offset = tuple(-x - y for x, y in zip(c, lift))
+    return ConePiece(basis, offset, MultiPoly(mono))
+
+
+@lru_cache(maxsize=4096)
+def _inversion_data(denom) -> tuple:
+    """(basis, ws, table, divisor, lift) of a reduced term's denominator.
+
+    ws holds w_i, adjugate row i made primitive: orthogonal to every basis
+    vector but b_i and positive on it.  With pair_i = <w_i, b_i>, table is
+    prod_i prod_{j=1}^{h_i-1} (<w_i, alpha> + t_i + j * pair_i), expanded
+    over int: per exponent tuple of alpha, its (coefficient,
+    ((i, power of t_i), ...)) pairs.  divisor is
+    prod_i (h_i - 1)! * pair_i^(h_i - 1) and lift is sum_i (h_i - 1) * b_i.
+    """
+    basis = tuple(f.vector for f in denom)
     s = len(basis[0]) if basis else 0
     _, adj = _solver(basis)
-    c = term.num.shift
-    mono = {(0,) * s: term.num.coeff}
-    unit = [tuple(int(k == i) for k in range(s)) for i in range(s)]
+    # exponents of the expansion: alpha_1 .. alpha_s, then t_1 .. t_s
+    unit = [tuple(int(k == i) for k in range(2 * s)) for i in range(2 * s)]
+    zero = (0,) * (2 * s)
+    ws = []
+    poly = {zero: 1}
     divisor = 1
-    offset = vsub((0,) * s, c)
-    for i, f in enumerate(term.denom):
-        # adjugate row i, made primitive: orthogonal to every basis vector
-        # but f.vector, and positive on it
+    lift = (0,) * s
+    for i, f in enumerate(denom):
         g = gcd(*adj[i])
         w = tuple(x // g for x in adj[i])
         pair = dot(w, f.vector)
-        # <w, alpha> + <w, c> + j * pair as (exponents, coefficient) pairs
-        linear = [(e, x) for e, x in zip(unit, w) if x]
+        linear = [(e, x) for e, x in zip(unit, w) if x] + [(unit[s + i], 1)]
         for j in range(1, f.power):
-            mono = _times(mono, linear + [((0,) * s, dot(w, c) + j * pair)])
+            poly = _times(poly, linear + [(zero, j * pair)])
+        ws.append(w)
         divisor *= factorial(f.power - 1) * pair ** (f.power - 1)
-        offset = vsub(offset, scale(f.vector, f.power - 1))
-    return ConePiece(basis, offset, MultiPoly({e: Fraction(q, divisor)
-                                               for e, q in mono.items() if q}))
+        lift = vadd(lift, scale(f.vector, f.power - 1))
+    table: dict[Vec, list] = {}
+    for e, r in poly.items():
+        if r:
+            ks = tuple((i, k) for i, k in enumerate(e[s:]) if k)
+            table.setdefault(e[:s], []).append((r, ks))
+    return basis, tuple(ws), tuple(table.items()), divisor, lift
 
 
 def _times(mono: dict[Vec, int], factor) -> dict[Vec, int]:

@@ -25,7 +25,19 @@ shift after unpacking.
 The reduction is order-dependent and non-unique; correctness is semantic
 (formal-identity preservation, spot-checked numerically in debug mode).
 The number of terms depends on the fold order by orders of magnitude, so
-toric_reduce chooses its order by a bounded greedy search (choose_fold).
+toric_reduce chooses its order by a bounded greedy search (choose_fold),
+within a term budget.
+
+The search abandons a candidate step before it multiplies what it would
+throw away.  Over Z a sum of finite sets has |A + B| >= |A| + |B| - 1,
+and packed shifts are plain ints, so num * factor puts at least
+len(num) + len(factor) - 1 keys into its target.  The cap counts keys
+before zeros are dropped, so a step's key count only grows; a step whose
+bound passes the cap would pass it once multiplied, too.  The bound
+therefore changes no decision, only when a step is abandoned.  A
+partial-fraction group is multiplied by its geometric factor beta only
+when a step reaches it, and a lower bound on that product's length
+(_product_floor) lets a step abandon before building it.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import expalg
-from .errors import InvariantError
+from .errors import BudgetError, InvariantError
 from .expalg import (DenomFactor, ExpMonomial, ExpRatSum, ExpRatTerm,
                      geometric_factor, laplace_generating, make_sum, make_term,
                      monomial, spot_check)
@@ -51,9 +63,10 @@ Grouped = dict[Denom, Laurent]      # the working sum: denominator -> numerator
 # A shift c in Z^s is packed as the int sum_i c_i * STRIDE^i (signed c_i):
 # packed ints add as their shifts do, and _unpack recovers c while every
 # |c_i| < STRIDE / 2.  No coordinate a reduction reaches exceeds REACH:
-# _pack, the only way in, rejects a coordinate past ENTRY_LIMIT; a group of
-# _absorption_data(denom, a) is beta times at most P gammas, P the total
-# power of denom, which it requires below MAX_POWER; and the k-th step of a
+# _pack, the only way in, rejects a coordinate past ENTRY_LIMIT; a group's
+# numerator, _absorbed_group(denom, a, i), is beta times at most P gammas,
+# P the total power of denom, which _absorption_data requires below
+# MAX_POWER; and the k-th step of a
 # fold from the unit term absorbs denominators of power k - 1.  So a fold
 # moves a coordinate by at most (1 + ... + MAX_POWER) * ENTRY_LIMIT = REACH,
 # and absorb_vector, which adds its term's shift after unpacking, by at most
@@ -68,6 +81,12 @@ STRIDE = 1 << 81
 MAX_POWER = 1024
 ENTRY_LIMIT = (STRIDE // 2 - 1) // (MAX_POWER * (MAX_POWER + 1) // 2)
 REACH = MAX_POWER * (MAX_POWER + 1) // 2 * ENTRY_LIMIT
+
+# The default term budget of choose_fold: no step of the search may carry
+# more terms.  The largest fold the tests and the benchmark build, that of
+# [(3,1), (1,4), (7,2), (2,9)], has 78,399 terms and peaks near 250 MiB
+# through closed_form and its first evaluation; memory grows with the terms.
+TERM_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -155,11 +174,17 @@ def partial_fraction(y0: Factor, gammas, denom: Denom) -> Grouped:
 
 
 @lru_cache(maxsize=4096)
-def _absorption_data(denom: Denom, a: Vec) -> tuple[tuple[Denom, tuple], ...] | None:
+def _absorption_data(denom: Denom, a: Vec) -> tuple[tuple, tuple[tuple[Denom, tuple, int], ...]] | None:
     """1 / (denom * (1 - e^{-<a,x>})) for a not among denom's vectors, as
-    immutable (denominator, ((shift, coeff), ...)) groups; None when a is
-    independent of denom's vectors.  Every numerator over denom absorbs a
-    by multiplying into each group."""
+    (beta, groups); None when a is independent of denom's vectors.
+
+    With y0 = 1 - e^{-<m*a,x>} = beta * (1 - e^{-<a,x>}), the partial
+    fractions of 1 / (denom * y0) are the (denominator, numerator, floor)
+    groups; numerators and beta are immutable (shift, coeff) pairs.  Every
+    numerator over denom absorbs a by multiplying into each group's
+    numerator times beta, _absorbed_group(denom, a, i), which is built only
+    when a fold step reaches it; floor, its _product_floor, is at most its
+    number of terms."""
     vecs = [v for v, _ in denom]
     if rank(vecs + [a]) == len(vecs) + 1:
         return None
@@ -171,13 +196,46 @@ def _absorption_data(denom: Denom, a: Vec) -> tuple[tuple[Denom, tuple], ...] | 
     kept = [(m, v) for m, v in zip(rel.coefficients, vecs) if m != 0]
     sub_basis = [v for _, v in kept]
     sub_rel = IntegerRelation(rel.multiplier, tuple(m for m, _ in kept))
-    beta = _laurent(geometric_factor(a, rel.multiplier)).items()
+    beta = tuple(_laurent(geometric_factor(a, rel.multiplier)).items())
     y0 = (scale(a, rel.multiplier), 1)
     gammas = [(_laurent(g), sub_basis[j]) for g, j in expand_dependent(sub_rel, sub_basis)]
-    groups = {}
-    for d, num in partial_fraction(y0, gammas, denom).items():
-        _accumulate(groups.setdefault(d, {}), num, beta)
-    return tuple((d, tuple(num.items())) for d, num in _nonzero(groups).items())
+    return beta, tuple((d, tuple(num.items()), _product_floor(num, beta))
+                       for d, num in partial_fraction(y0, gammas, denom).items())
+
+
+@lru_cache(maxsize=4096)
+def _absorbed_group(denom: Denom, a: Vec, i: int) -> tuple:
+    """Group i's numerator times beta, as immutable (shift, coeff) pairs."""
+    beta, groups = _absorption_data(denom, a)
+    product: Laurent = {}
+    _accumulate(product, dict(groups[i][1]), beta)
+    return tuple((c, q) for c, q in product.items() if q)
+
+
+def _product_floor(num: Laurent, beta) -> int:
+    """A lower bound on the number of nonzero terms of num * beta, for a
+    geometric factor beta = sum_{l<m} x^(l*step) given as (shift, coeff)
+    pairs.
+
+    The product splits over the lines r + step*Z, and on a line over the
+    clusters of num's shifts, cut where two neighbours lie m or more steps
+    apart: the products of two clusters do not overlap.  A cluster of one
+    shift gives m terms, a larger one at least 2, its lowest and its
+    highest.  The bound is exact when every cluster is one shift.
+    """
+    m = len(beta)
+    if m == 1:
+        return len(num)
+    shifts = [c for c, _ in beta]
+    step = (max(shifts) - min(shifts)) // (m - 1)
+    if len({c % step for c in num}) == len(num):  # one shift per line
+        return m * len(num)
+    keys = sorted((c % step, c) for c in num)
+    near = [r1 == r2 and c2 - c1 < m * step for (r1, c1), (r2, c2) in zip(keys, keys[1:])]
+    clusters = len(keys) - sum(near)
+    # a shift is alone in its cluster when it is near neither neighbour
+    alone = sum(not (left or right) for left, right in zip([False] + near, near + [False]))
+    return m * alone + 2 * (clusters - alone)
 
 
 def absorb_vector(term: ExpRatTerm, a: Vec) -> list[ExpRatTerm]:
@@ -198,11 +256,13 @@ def absorb_vector(term: ExpRatTerm, a: Vec) -> list[ExpRatTerm]:
             for t in folded.terms]
 
 
-def toric_reduce(X, check: bool = False, seed: int = 0) -> ReducedForm:
+def toric_reduce(X, check: bool = False, seed: int = 0,
+                 budget: int | None = None) -> ReducedForm:
     """Fold fold_step over X, starting from the unit term, in the fold
-    order chosen by choose_fold.
+    order chosen by choose_fold within the term budget.
 
-    X must pass linalg.check_system.  With check=True every absorption step
+    X must pass linalg.check_system.  budget is choose_fold's;
+    BudgetError when no fold the search tries fits it.  With check=True every absorption step
     of the chosen fold is verified numerically against the partial product
     at seeded generic points.  The result always passes the structural
     invariant checks of assert_reduced_invariants; its source is X in the
@@ -212,7 +272,7 @@ def toric_reduce(X, check: bool = False, seed: int = 0) -> ReducedForm:
     check_system(X)
 
     s = len(X[0])
-    order, grouped = choose_fold(X)
+    order, grouped = choose_fold(X, budget)
     reduced = _to_sum(grouped, s)
     if check:  # each step of the order; the last one is the sum returned
         for k in range(1, len(X) + 1):
@@ -226,20 +286,45 @@ def toric_reduce(X, check: bool = False, seed: int = 0) -> ReducedForm:
 
 def fold_step(acc: Grouped, a: Vec, cap: float = math.inf) -> Grouped | None:
     """acc / (1 - e^{-<a,x>}), grouped, acc's shifts packed as _fold packs
-    them; None as soon as the entries produced so far carry more than cap
-    distinct (shift, denominator) keys, zero coefficients included.  acc is
-    left unchanged."""
+    them; None when the result would carry more than cap distinct
+    (shift, denominator) keys, zero coefficients included.  acc is left
+    unchanged.
+
+    The step abandons before it multiplies.  A numerator num multiplied
+    into a group's numerator factor leaves its target at least
+    len(num) + len(factor) - 1 keys (the sumset bound over Z), and keys are
+    never removed before the end, so the key count only grows.  Two lower
+    bounds on the final count are checked: first, before any product, the
+    sum over targets of the largest such bound, each factor's length
+    bounded by its _product_floor; then, before each product, the keys so
+    far plus that product's least number of new keys.  The count itself is
+    checked after each product.  So the step returns None exactly when its
+    finished key count passes cap, as when only that was checked, and
+    mostly before the products that would pass it.
+    """
+    steps = []
+    floors: dict[Denom, int] = {}
+    for denom, num in acc.items():
+        data = None if any(v == a for v, _ in denom) else _absorption_data(denom, a)
+        if data is None:  # a merges into the power or is appended
+            parts = [(_denominator(denom + ((a, 1),)), 1, None)]
+        else:
+            parts = [(d, floor, (denom, a, i)) for i, (d, _, floor) in enumerate(data[1])]
+        for d, floor, key in parts:
+            floors[d] = max(floors.get(d, 0), len(num) + floor - 1)
+            steps.append((num, d, key))
+    if sum(floors.values()) > cap:
+        return None
     out: Grouped = {}
     size = 0
-    for denom, num in acc.items():
-        groups = None if any(v == a for v, _ in denom) else _absorption_data(denom, a)
-        if groups is None:  # a merges into the power or is appended
-            groups = (_denominator(denom + ((a, 1),)), ((0, 1),)),
-        for d, factor in groups:
-            target = out.setdefault(d, {})
-            n = len(target)
-            _accumulate(target, num, factor)
-            size += len(target) - n
+    for num, d, key in steps:
+        target = out.setdefault(d, {})
+        n = len(target)
+        factor = ((0, 1),) if key is None else _absorbed_group(*key)
+        if size + max(len(num) + len(factor) - 1 - n, 0) > cap:
+            return None
+        _accumulate(target, num, factor)
+        size += len(target) - n
         if size > cap:
             return None
     return _nonzero(out)
@@ -256,8 +341,10 @@ def _fold(X, order, cap: float = math.inf) -> Grouped | None:
     return acc
 
 
-def choose_fold(X) -> tuple[list[int], Grouped]:
-    """Fold order for X and the grouped sum its fold gives.
+def choose_fold(X, budget: int | None = None) -> tuple[list[int], Grouped]:
+    """Fold order for X and the grouped sum its fold gives.  budget is the
+    most terms a step may carry, TERM_BUDGET when None; BudgetError when no
+    fold the search tries stays within it.
 
     Every sum of a complete fold is t_X's generating function; they differ
     only in their number of terms.  The search seeds one greedy fold with
@@ -266,10 +353,13 @@ def choose_fold(X) -> tuple[list[int], Grouped]:
     input order, and keeps the one that leaves the fewest terms; a later
     candidate wins only with strictly fewer.  A candidate is abandoned once
     it has more terms than the best one of its step or the best complete
-    fold so far.  Input order is folded last, capped at the best count, and
-    kept when it comes in at or below it: it wins ties, and the result never
-    has more terms than the input-order fold.
+    fold so far, and every candidate once it has more than budget terms.
+    Input order is folded last, capped at the best count, and kept when it
+    comes in at or below it: it wins ties, and the result never has more
+    terms than the input-order fold.
     """
+    if budget is None:
+        budget = TERM_BUDGET
     n, s = len(X), len(X[0])
     seeds = []
     for subset in combinations(range(n), s):
@@ -285,7 +375,7 @@ def choose_fold(X) -> tuple[list[int], Grouped]:
         while rest:
             pick, step, size = None, None, math.inf
             for i in rest:
-                cand = fold_step(acc, X[i], min(best_count, size))
+                cand = fold_step(acc, X[i], min(best_count, size, budget))
                 if cand is not None and (k := _size(cand)) < size:
                     pick, step, size = i, cand, k
             if step is None:
@@ -297,8 +387,12 @@ def choose_fold(X) -> tuple[list[int], Grouped]:
             best, best_count = (order, acc), _size(acc)
 
     # a capped fold that completes has at most cap terms
-    acc = _fold(X, range(n), best_count)
-    return best if acc is None else (list(range(n)), acc)
+    acc = _fold(X, range(n), min(best_count, budget))
+    if acc is not None:
+        return list(range(n)), acc
+    if best is None:
+        raise BudgetError(f"no fold the search tries stays within the budget of {budget:,} terms")
+    return best
 
 
 def assert_reduced_invariants(rf: ReducedForm) -> None:

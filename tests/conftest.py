@@ -19,6 +19,9 @@ EX2 = ((1, 0), (0, 1), (-1, 2))
 # by orders of magnitude.
 STRESS_A = ((0, -2), (3, -2), (-2, 1), (-2, -1))
 STRESS_B = ((-2, 3, 1), (-3, -2, -2), (0, 3, 1), (2, 3, 2))
+# Past the benchmark's determinant cap: its bases have |det| 1, 1, 11, 25,
+# 26 and 59, and its fold orders give from 78,399 to 5,003,282 terms.
+D59 = ((3, 1), (1, 4), (7, 2), (2, 9))
 
 MASTER_SEED = 20260823
 # Largest allowed |det| over independent s-subsets.  Relation multipliers in

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from conftest import EX2
+from conftest import D59, EX2
+from dtpower import engines, toric
 from dtpower.cli import (closed_form_from_json, closed_form_to_json, main,
                          parse_vectors)
 from dtpower.errors import InvariantError
@@ -152,7 +153,21 @@ class TestUsage:
         assert code == 4 and out == ""
         assert err.startswith("error: ") and "dependent denominator" in err
 
+    @pytest.mark.parametrize("module,budget,args,text,unit", [
+        (toric, "TERM_BUDGET", ["count", "--point", "500,900"],
+         "".join(f"{x} {y}\n" for x, y in D59), "terms"),
+        (engines, "MEMO_BUDGET", ["count", "--engine", "recursion", "--point", "5000"],
+         "1\n2\n3\n5\n", "entries"),
+    ])
+    def test_budget_exceeded_exits_5(self, module, budget, args, text, unit,
+                                     tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(module, budget, 1_000)
+        code, out, err = run(args, text, tmp_path, capsys)
+        assert code == 5 and out == ""
+        assert err.startswith("error: budget exceeded: ") and f"1,000 {unit}" in err
+
     def test_help_documents_exit_codes(self, capsys):
         assert main(["--help"]) == 0
         out = " ".join(capsys.readouterr().out.split())
         assert "exit codes" in out and "4 broken internal invariant" in out
+        assert "5 valid input too large" in out

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EX1, EX2, pointed_systems, random_pointed_systems
+from conftest import EX1, EX2, STRESS_A, pointed_systems, random_pointed_systems
 from dtpower.engines import (DMContext, brute_force_box, brute_force_count,
                              cross_check, dm_count, independent_count)
+from dtpower.errors import BudgetError, InvariantError
 from dtpower.linalg import det_adj, pointedness_certificate, rank, solve_columns
 from dtpower.quasipoly import closed_form, support_membership
 from dtpower.toric import toric_reduce
@@ -315,6 +316,25 @@ class TestTelescopedRecursion:
         assume(runs)
         for k in runs:
             assert finite_difference(counts[k:k + window]) == 0, (line[k], v)
+
+    def test_memo_budget_raises_before_filling(self):
+        # the point 5*168*v of stress A, v the sum of its vectors, grew the
+        # memo past 3 GB with no budget; a small budget stops it early
+        ctx = DMContext(STRESS_A, budget=10_000)
+        with pytest.raises(BudgetError, match="10,000 entries"):
+            ctx.count((-840, -3360))
+        assert 0 < len(ctx.memo) <= 10_000
+        assert not issubclass(BudgetError, InvariantError)
+
+    def test_memo_budget_is_inclusive(self):
+        want = coin_change([1, 2, 3, 5], 500)
+        ctx = DMContext([(1,), (2,), (3,), (5,)])
+        assert ctx.count((500,)) == want
+        used = len(ctx.memo)
+        ctx = DMContext([(1,), (2,), (3,), (5,)], budget=used)
+        assert ctx.count((500,)) == want
+        with pytest.raises(BudgetError):
+            DMContext([(1,), (2,), (3,), (5,)], budget=used - 1).count((500,))
 
 
 class TestCrossCheck:

@@ -1,11 +1,16 @@
 """The fold order chosen by toric_reduce: counts never depend on it, and the
 chosen fold is never larger than the input-order fold."""
 
+import math
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import STRESS_A, pointed_systems
+from conftest import D59, EX1, EX2, STRESS_A, STRESS_B, pointed_systems
+from dtpower import toric
 from dtpower.engines import DMContext, box_points
+from dtpower.errors import BudgetError, InvariantError
 from dtpower.expalg import make_sum, make_term
 from dtpower.quasipoly import closed_form, eval_closed_box
 from dtpower.toric import absorb_vector, toric_reduce
@@ -55,3 +60,85 @@ def test_stress_a_reduces_to_156_terms_in_any_order():
         rf = toric_reduce(X, check=True)
         assert len(rf.sum.terms) == 156
         assert rf.source == tuple(X)
+
+
+def reference_fold_step(acc, a, cap=math.inf):
+    """fold_step as it was before the early abandon: the cap is checked
+    only once every group of a denominator has been multiplied."""
+    out, size = {}, 0
+    for denom, num in acc.items():
+        data = None if any(v == a for v, _ in denom) else toric._absorption_data(denom, a)
+        if data is None:
+            factors = [(toric._denominator(denom + ((a, 1),)), ((0, 1),))]
+        else:
+            factors = [(d, toric._absorbed_group(denom, a, i)) for i, (d, _, _) in enumerate(data[1])]
+        for d, factor in factors:
+            target = out.setdefault(d, {})
+            n = len(target)
+            toric._accumulate(target, num, factor)
+            size += len(target) - n
+        if size > cap:
+            return None
+    return toric._nonzero(out)
+
+
+def clear_toric_caches():
+    for f in (toric._absorption_data, toric._absorbed_group):
+        f.cache_clear()
+
+
+class TestEarlyAbandon:
+    def test_bound_changes_no_decision(self, monkeypatch, random_systems):
+        # every capped candidate step of the search returns None exactly
+        # when the step that checks its cap after each denominator does,
+        # and the same sum otherwise
+        real = toric.fold_step
+        seen = {"capped": 0, "abandoned": 0}
+
+        def compared(acc, a, cap=math.inf):
+            out = real(acc, a, cap)
+            if cap < math.inf:
+                assert out == reference_fold_step(acc, a, cap)
+                seen["capped"] += 1
+                seen["abandoned"] += out is None
+            return out
+
+        monkeypatch.setattr(toric, "fold_step", compared)
+        for X in [EX1, EX2, STRESS_A, STRESS_B] + random_systems:
+            toric.choose_fold([tuple(a) for a in X])
+        assert seen["abandoned"] > 50 and seen["capped"] > seen["abandoned"]
+
+
+class TestD59:
+    def test_search_keeps_the_smallest_fold(self):
+        order, grouped = toric.choose_fold(D59)
+        assert order == [1, 3, 0, 2]
+        assert toric._size(grouped) == 78_399
+
+    def test_search_multiplies_few_numerators(self, monkeypatch):
+        # numerator products len(num) * len(factor) of the whole search
+        # from cold caches: 557,873 with the abandon before multiplying
+        # (partial fractions included), against 49 M in one abandoned step
+        # when the cap was checked after each denominator
+        products = [0]
+        real = toric._accumulate
+
+        def counting(target, num, factor):
+            products[0] += len(num) * len(factor)
+            real(target, num, factor)
+
+        clear_toric_caches()
+        monkeypatch.setattr(toric, "_accumulate", counting)
+        toric.choose_fold(D59)
+        clear_toric_caches()
+        assert products[0] <= 560_000
+
+    def test_budget_is_inclusive(self):
+        assert toric.choose_fold(D59, budget=78_399)[0] == [1, 3, 0, 2]
+        with pytest.raises(BudgetError, match="78,398 terms"):
+            toric.choose_fold(D59, budget=78_398)
+
+    def test_small_budget_raises(self):
+        with pytest.raises(BudgetError):
+            toric_reduce(D59, budget=10_000)
+        assert not issubclass(BudgetError, InvariantError)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EX1, EX2, pinned_inputs, random_pointed_systems
+from conftest import D59, EX1, EX2, STRESS_B, pinned_inputs, random_pointed_systems
+from dtpower import quasipoly
 from dtpower.cli import closed_form_from_json, closed_form_to_json
 from dtpower.engines import box_points, brute_force_count
 from dtpower.errors import InvariantError
 from dtpower.expalg import DenomFactor, make_term
-from dtpower.linalg import pointedness_certificate, rank
+from dtpower.linalg import det_adj, pointedness_certificate, rank
 from dtpower.quasipoly import (ClosedForm, ConePiece, MultiPoly, closed_form,
                                eval_closed, eval_closed_box,
                                inverse_laplace_term, merge_pieces,
@@ -58,6 +60,52 @@ class TestInverseLaplaceTerm:
         term = make_term(1, (0, 0), [DenomFactor((1, 0), 1), DenomFactor((2, 0), 1)])
         with pytest.raises(ValueError):
             inverse_laplace_term(term)
+
+    def test_matches_inversion_term_by_term(self):
+        # every term of the pinned inputs, and every 97th of D59's, against
+        # the linear factors multiplied out for each term on its own
+        terms = [t for _, X in pinned_inputs() for t in toric_reduce(X).sum.terms]
+        terms += toric_reduce(D59).sum.terms[::97]
+        for t in terms:
+            assert inverse_laplace_term(t) == reference_inverse(t), t
+
+    def test_denominator_data_built_once_per_denominator(self):
+        quasipoly._inversion_data.cache_clear()
+        rf = toric_reduce(STRESS_B)
+        closed_form(STRESS_B, rf)
+        info = quasipoly._inversion_data.cache_info()
+        denominators = {t.denom for t in rf.sum.terms}
+        assert info.misses == len(denominators) < len(rf.sum.terms) == info.hits + info.misses
+        quasipoly._inversion_data.cache_clear()
+
+
+def reference_inverse(term):
+    """One term's piece, its linear factors <w_i, alpha + c> + j * pair_i
+    multiplied out over Fraction for this term alone."""
+    basis = tuple(f.vector for f in term.denom)
+    s = len(basis[0])
+    _, adj = det_adj(basis)
+    c = term.num.shift
+    poly = {(0,) * s: Fraction(term.num.coeff)}
+    offset = tuple(-x for x in c)
+    for i, f in enumerate(term.denom):
+        g = math.gcd(*adj[i])
+        w = tuple(x // g for x in adj[i])
+        pair = sum(x * y for x, y in zip(w, f.vector))
+        wc = sum(x * y for x, y in zip(w, c))
+        for j in range(1, f.power):
+            linear = {tuple(int(k == m) for k in range(s)): w[m] for m in range(s) if w[m]}
+            linear[(0,) * s] = linear.get((0,) * s, 0) + wc + j * pair
+            out = {}
+            for e1, q in poly.items():
+                for e2, r in linear.items():
+                    e = tuple(x + y for x, y in zip(e1, e2))
+                    out[e] = out.get(e, 0) + q * r
+            poly = out
+            poly = {e: q / pair for e, q in poly.items()}
+        poly = {e: q / math.factorial(f.power - 1) for e, q in poly.items()}
+        offset = tuple(o - (f.power - 1) * b for o, b in zip(offset, f.vector))
+    return ConePiece(basis, offset, MultiPoly({e: q for e, q in poly.items() if q}))
 
 
 class TestSupportMembership:

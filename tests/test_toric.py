@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from conftest import EX1, EX2, pinned_inputs, random_pointed_systems
 from dtpower import toric
 from dtpower.expalg import (DenomFactor, ExpRatSum, add, eval_numeric,
-                            laplace_generating, make_sum, make_term, monomial,
-                            mul, random_generic_point, spot_check)
+                            geometric_factor, laplace_generating, make_sum,
+                            make_term, monomial, mul, random_generic_point,
+                            spot_check)
 from dtpower.errors import InvariantError
 from dtpower.linalg import IntegerRelation, rank
 from dtpower.toric import (ReducedForm, absorb_vector, assert_reduced_invariants,
@@ -381,3 +382,49 @@ class TestReducedInvariants:
 
     def test_is_an_assertion_error(self):
         assert issubclass(InvariantError, AssertionError)
+
+
+def overlap(c1, c2, a, m):
+    """c1 - c2 = k * a for an integer |k| < m: the products of the two
+    shifts with sum_{l<m} e^{-l<a,x>} share a term."""
+    d = [x - y for x, y in zip(c1, c2)]
+    i = next(k for k, x in enumerate(a) if x)
+    k = d[i] // a[i]
+    return d[i] % a[i] == 0 and abs(k) < m and all(x == k * y for x, y in zip(d, a))
+
+
+@st.composite
+def floor_cases(draw):
+    s = draw(st.integers(1, 2))
+    a = draw(st.tuples(*[st.integers(-3, 3)] * s).filter(any))
+    m = draw(st.integers(1, 5))
+    shifts = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * s), min_size=1, max_size=8,
+                           unique=True))
+    coeffs = draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=len(shifts),
+                           max_size=len(shifts)))
+    return a, m, dict(zip(shifts, coeffs))
+
+
+class TestProductFloor:
+    """_product_floor bounds the terms of a numerator times a geometric
+    factor from below, so a fold step may abandon before building it."""
+
+    @settings(max_examples=300)
+    @given(floor_cases())
+    # (1 - y)(1 + y) = 1 - y^2 and (1 - y)(1 + y + y^2) = 1 - y^3: the
+    # middle terms cancel
+    @example(((1,), 2, {(0,): 1, (-1,): -1}))
+    @example(((2, 1), 3, {(0, 0): 1, (-2, -1): -1}))
+    # packed, (0, 1) lies on the line of (0, 0) along (1, 0), far apart
+    @example(((1, 0), 2, {(0, 0): -2, (0, 1): -2}))
+    def test_is_a_lower_bound_exact_off_shared_lines(self, case):
+        a, m, shifts = case
+        num = {toric._pack(c): q for c, q in shifts.items()}
+        beta = tuple(toric._laurent(geometric_factor(a, m)).items())
+        product = {}
+        toric._accumulate(product, num, beta)
+        terms = sum(1 for q in product.values() if q)
+        floor = toric._product_floor(num, beta)
+        assert floor <= terms
+        if not any(overlap(c1, c2, a, m) for c1 in shifts for c2 in shifts if c1 != c2):
+            assert floor == terms == m * len(num)
