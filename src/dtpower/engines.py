@@ -143,7 +143,8 @@ class DMContext:
     linearly independent prefix, solved once per context.
 
     budget caps the memo's entries, MEMO_BUDGET when None: a query that
-    would take the memo past it raises BudgetError instead.
+    would take the memo past it raises BudgetError instead, and so does a
+    walk down a line longer than the room left, before the line is held.
     """
 
     def __init__(self, X, certificate=None, budget: int | None = None):
@@ -186,15 +187,20 @@ class DMContext:
             if hit is not None:
                 total = hit
                 break
+            if len(memo) + len(line) >= budget:  # the line alone would pass it
+                raise self._over_budget()
             line.append((alpha, u))
             alpha = tuple(map(sub, alpha, a))
             u -= w
         for alpha, u in reversed(line):
             total += self._count(alpha, u, k - 1)
             if len(memo) >= budget:
-                raise BudgetError(f"the removal recursion's memo would pass its budget of {budget:,} entries")
+                raise self._over_budget()
             memo[(k, alpha)] = total
         return total
+
+    def _over_budget(self) -> BudgetError:
+        return BudgetError(f"the removal recursion's memo would pass its budget of {self.budget:,} entries")
 
 
 def dm_count(X, alpha) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -325,6 +326,19 @@ class TestTelescopedRecursion:
             ctx.count((-840, -3360))
         assert 0 < len(ctx.memo) <= 10_000
         assert not issubclass(BudgetError, InvariantError)
+
+    def test_memo_budget_bounds_a_single_line(self):
+        # one line of 100,000 points: the walk stops at the budget instead
+        # of holding the whole line before the first entry is memoised
+        ctx = DMContext([(1,), (1,)], budget=1_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                ctx.count((100_000,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_memo_budget_is_inclusive(self):
         want = coin_change([1, 2, 3, 5], 500)
