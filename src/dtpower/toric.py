@@ -294,10 +294,11 @@ def fold_step(acc: Grouped, a: Vec, cap: float = math.inf) -> Grouped | None:
     into a group's numerator factor leaves its target at least
     len(num) + len(factor) - 1 keys (the sumset bound over Z), and keys are
     never removed before the end, so the key count only grows.  Two lower
-    bounds on the final count are checked: first, before any product, the
-    sum over targets of the largest such bound, each factor's length
-    bounded by its _product_floor; then, before each product, the keys so
-    far plus that product's least number of new keys.  The count itself is
+    bounds on the final count are checked: first, before any product and
+    as each denominator's groups are looked up, the sum over targets of the
+    largest such bound, each factor's length bounded by its
+    _product_floor; then, before each product, the keys so far plus that
+    product's least number of new keys.  The count itself is
     checked after each product.  So the step returns None exactly when its
     finished key count passes cap, as when only that was checked, and
     mostly before the products that would pass it.
@@ -313,8 +314,8 @@ def fold_step(acc: Grouped, a: Vec, cap: float = math.inf) -> Grouped | None:
         for d, floor, key in parts:
             floors[d] = max(floors.get(d, 0), len(num) + floor - 1)
             steps.append((num, d, key))
-    if sum(floors.values()) > cap:
-        return None
+        if sum(floors.values()) > cap:
+            return None
     out: Grouped = {}
     size = 0
     for num, d, key in steps:

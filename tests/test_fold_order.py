@@ -117,7 +117,7 @@ class TestD59:
 
     def test_search_multiplies_few_numerators(self, monkeypatch):
         # numerator products len(num) * len(factor) of the whole search
-        # from cold caches: 557,873 with the abandon before multiplying
+        # from cold caches: 432,616 with the abandon before multiplying
         # (partial fractions included), against 49 M in one abandoned step
         # when the cap was checked after each denominator
         products = [0]
@@ -131,7 +131,7 @@ class TestD59:
         monkeypatch.setattr(toric, "_accumulate", counting)
         toric.choose_fold(D59)
         clear_toric_caches()
-        assert products[0] <= 560_000
+        assert products[0] <= 440_000
 
     def test_budget_is_inclusive(self):
         assert toric.choose_fold(D59, budget=78_399)[0] == [1, 3, 0, 2]
