@@ -23,7 +23,7 @@ from .linalg import (PointedCertificate, Vec, check_system, column_solver,
 from .quasipoly import closed_form, eval_closed_box
 from .toric import toric_reduce
 
-# The default memo budget of DMContext, in entries.  An entry takes about
+# The memo budget of DMContext, in entries.  An entry takes about
 # 225 bytes (CPython 3.11), so the default stops a context near 450 MiB;
 # the tests' largest context holds about 82,000.
 MEMO_BUDGET = 2_000_000
@@ -142,12 +142,12 @@ class DMContext:
     one level per vector, never along a line.  The base case is the longest
     linearly independent prefix, solved once per context.
 
-    budget caps the memo's entries, MEMO_BUDGET when None: a query that
-    would take the memo past it raises BudgetError instead, and so does a
-    walk down a line longer than the room left, before the line is held.
+    The memo holds at most MEMO_BUDGET entries: a query that would take it
+    past them raises BudgetError instead, and so does a walk down a line
+    longer than the room left, before the line is held.
     """
 
-    def __init__(self, X, certificate=None, budget: int | None = None):
+    def __init__(self, X, certificate=None):
         self.X = [tuple(a) for a in X]
         self.cert = certificate or pointedness_certificate(self.X)
         if self.cert is None:
@@ -161,7 +161,6 @@ class DMContext:
         self.base_len = k
         self._base = column_solver(tuple(self.X[:k]))
         self.memo: dict[tuple[int, Vec], int] = {}
-        self.budget = MEMO_BUDGET if budget is None else budget
 
     def count(self, alpha, k: int | None = None) -> int:
         if k is None:
@@ -178,7 +177,7 @@ class DMContext:
         """t_k(alpha) for k >= base_len, given u = <xs, alpha> >= 0."""
         if k == self.base_len:
             return _solved_count(self._base, alpha)
-        memo, budget = self.memo, self.budget
+        memo, budget = self.memo, MEMO_BUDGET
         a, w = self.X[k - 1], self.weights[k - 1]
         line = []
         total = 0
@@ -200,7 +199,7 @@ class DMContext:
         return total
 
     def _over_budget(self) -> BudgetError:
-        return BudgetError(f"the removal recursion's memo would pass its budget of {self.budget:,} entries")
+        return BudgetError(f"the removal recursion's memo would pass its budget of {MEMO_BUDGET:,} entries")
 
 
 def dm_count(X, alpha) -> int:

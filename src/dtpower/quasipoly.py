@@ -129,7 +129,7 @@ class _Compiled:
             if p.basis not in solvers:
                 solvers[p.basis] = _solver(p.basis) + ({},)
             d, adj, buckets = solvers[p.basis]
-            nums = tuple((c.numerator * (self.denominator // c.denominator),
+            nums = tuple((int(c * self.denominator),
                           tuple((k, e) for k, e in enumerate(exps) if e))
                          for exps, c in p.poly.monomials.items())
             low = tuple(dot(row, p.offset) for row in adj)

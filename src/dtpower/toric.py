@@ -82,8 +82,8 @@ MAX_POWER = 1024
 ENTRY_LIMIT = (STRIDE // 2 - 1) // (MAX_POWER * (MAX_POWER + 1) // 2)
 REACH = MAX_POWER * (MAX_POWER + 1) // 2 * ENTRY_LIMIT
 
-# The default term budget of choose_fold: no step of the search may carry
-# more terms.  The largest fold the tests and the benchmark build, that of
+# The term budget: no step of choose_fold's search may carry more terms,
+# and no relation of _absorption_data a larger multiplier or coefficient.  The largest fold the tests and the benchmark build, that of
 # [(3,1), (1,4), (7,2), (2,9)], has 78,399 terms and peaks near 250 MiB
 # through closed_form and its first evaluation; memory grows with the terms.
 TERM_BUDGET = 200_000
@@ -184,7 +184,11 @@ def _absorption_data(denom: Denom, a: Vec) -> tuple[tuple, tuple[tuple[Denom, tu
     numerator over denom absorbs a by multiplying into each group's
     numerator times beta, _absorbed_group(denom, a, i), which is built only
     when a fold step reaches it; floor, its _product_floor, is at most its
-    number of terms."""
+    number of terms.
+
+    BudgetError when the multiplier m or a coefficient of the relation
+    passes TERM_BUDGET: beta and the gammas carry one term per unit of
+    them, built before any cap of a fold step can be checked."""
     vecs = [v for v, _ in denom]
     if rank(vecs + [a]) == len(vecs) + 1:
         return None
@@ -193,6 +197,8 @@ def _absorption_data(denom: Denom, a: Vec) -> tuple[tuple, tuple[tuple[Denom, tu
     rel = integer_relation(vecs, a)
     if rel is None:
         raise InvariantError(f"{a} is outside the span of the denominators {vecs}")
+    if max(rel.multiplier, *map(abs, rel.coefficients)) > TERM_BUDGET:
+        raise BudgetError(f"absorbing {a} needs a relation coefficient past the budget of {TERM_BUDGET:,} terms")
     kept = [(m, v) for m, v in zip(rel.coefficients, vecs) if m != 0]
     sub_basis = [v for _, v in kept]
     sub_rel = IntegerRelation(rel.multiplier, tuple(m for m, _ in kept))
@@ -256,13 +262,12 @@ def absorb_vector(term: ExpRatTerm, a: Vec) -> list[ExpRatTerm]:
             for t in folded.terms]
 
 
-def toric_reduce(X, check: bool = False, seed: int = 0,
-                 budget: int | None = None) -> ReducedForm:
+def toric_reduce(X, check: bool = False, seed: int = 0) -> ReducedForm:
     """Fold fold_step over X, starting from the unit term, in the fold
     order chosen by choose_fold within the term budget.
 
-    X must pass linalg.check_system.  budget is choose_fold's;
-    BudgetError when no fold the search tries fits it.  With check=True every absorption step
+    X must pass linalg.check_system.  BudgetError when no fold the search
+    tries fits TERM_BUDGET.  With check=True every absorption step
     of the chosen fold is verified numerically against the partial product
     at seeded generic points.  The result always passes the structural
     invariant checks of assert_reduced_invariants; its source is X in the
@@ -272,7 +277,7 @@ def toric_reduce(X, check: bool = False, seed: int = 0,
     check_system(X)
 
     s = len(X[0])
-    order, grouped = choose_fold(X, budget)
+    order, grouped = choose_fold(X)
     reduced = _to_sum(grouped, s)
     if check:  # each step of the order; the last one is the sum returned
         for k in range(1, len(X) + 1):
@@ -342,10 +347,9 @@ def _fold(X, order, cap: float = math.inf) -> Grouped | None:
     return acc
 
 
-def choose_fold(X, budget: int | None = None) -> tuple[list[int], Grouped]:
-    """Fold order for X and the grouped sum its fold gives.  budget is the
-    most terms a step may carry, TERM_BUDGET when None; BudgetError when no
-    fold the search tries stays within it.
+def choose_fold(X) -> tuple[list[int], Grouped]:
+    """Fold order for X and the grouped sum its fold gives; BudgetError when
+    no fold the search tries stays within TERM_BUDGET terms a step.
 
     Every sum of a complete fold is t_X's generating function; they differ
     only in their number of terms.  The search seeds one greedy fold with
@@ -354,13 +358,12 @@ def choose_fold(X, budget: int | None = None) -> tuple[list[int], Grouped]:
     input order, and keeps the one that leaves the fewest terms; a later
     candidate wins only with strictly fewer.  A candidate is abandoned once
     it has more terms than the best one of its step or the best complete
-    fold so far, and every candidate once it has more than budget terms.
+    fold so far, and every candidate once it has more than TERM_BUDGET terms.
     Input order is folded last, capped at the best count, and kept when it
     comes in at or below it: it wins ties, and the result never has more
     terms than the input-order fold.
     """
-    if budget is None:
-        budget = TERM_BUDGET
+    budget = TERM_BUDGET
     n, s = len(X), len(X[0])
     seeds = []
     for subset in combinations(range(n), s):

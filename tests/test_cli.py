@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -165,6 +166,17 @@ class TestUsage:
         code, out, err = run(args, text, tmp_path, capsys)
         assert code == 5 and out == ""
         assert err.startswith("error: budget exceeded: ") and f"1,000 {unit}" in err
+
+    @pytest.mark.parametrize("text,point", [("1\n100000000\n", "1"),
+                                            ("1 0\n0 1\n1 100000000\n", "1,1")])
+    def test_large_relation_coefficient_exits_5(self, text, point, tmp_path, capsys):
+        # a relation coefficient of 10^8 would expand into 10^8 terms
+        # before any cap of the fold search is checked
+        start = time.perf_counter()
+        code, out, err = run(["count", "--point", point], text, tmp_path, capsys)
+        assert code == 5 and out == ""
+        assert err.startswith("error: budget exceeded: ") and "relation coefficient" in err
+        assert time.perf_counter() - start < 5.0
 
     def test_help_documents_exit_codes(self, capsys):
         assert main(["--help"]) == 0

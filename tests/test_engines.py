@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EX1, EX2, STRESS_A, pointed_systems, random_pointed_systems
+from dtpower import engines
 from dtpower.engines import (DMContext, brute_force_box, brute_force_count,
                              cross_check, dm_count, independent_count)
 from dtpower.errors import BudgetError, InvariantError
@@ -318,19 +319,21 @@ class TestTelescopedRecursion:
         for k in runs:
             assert finite_difference(counts[k:k + window]) == 0, (line[k], v)
 
-    def test_memo_budget_raises_before_filling(self):
+    def test_memo_budget_raises_before_filling(self, monkeypatch):
         # the point 5*168*v of stress A, v the sum of its vectors, grew the
         # memo past 3 GB with no budget; a small budget stops it early
-        ctx = DMContext(STRESS_A, budget=10_000)
+        monkeypatch.setattr(engines, "MEMO_BUDGET", 10_000)
+        ctx = DMContext(STRESS_A)
         with pytest.raises(BudgetError, match="10,000 entries"):
             ctx.count((-840, -3360))
         assert 0 < len(ctx.memo) <= 10_000
         assert not issubclass(BudgetError, InvariantError)
 
-    def test_memo_budget_bounds_a_single_line(self):
+    def test_memo_budget_bounds_a_single_line(self, monkeypatch):
         # one line of 100,000 points: the walk stops at the budget instead
         # of holding the whole line before the first entry is memoised
-        ctx = DMContext([(1,), (1,)], budget=1_000)
+        monkeypatch.setattr(engines, "MEMO_BUDGET", 1_000)
+        ctx = DMContext([(1,), (1,)])
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError):
@@ -340,15 +343,16 @@ class TestTelescopedRecursion:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_memo_budget_is_inclusive(self):
+    def test_memo_budget_is_inclusive(self, monkeypatch):
         want = coin_change([1, 2, 3, 5], 500)
         ctx = DMContext([(1,), (2,), (3,), (5,)])
         assert ctx.count((500,)) == want
         used = len(ctx.memo)
-        ctx = DMContext([(1,), (2,), (3,), (5,)], budget=used)
-        assert ctx.count((500,)) == want
+        monkeypatch.setattr(engines, "MEMO_BUDGET", used)
+        assert DMContext([(1,), (2,), (3,), (5,)]).count((500,)) == want
+        monkeypatch.setattr(engines, "MEMO_BUDGET", used - 1)
         with pytest.raises(BudgetError):
-            DMContext([(1,), (2,), (3,), (5,)], budget=used - 1).count((500,))
+            DMContext([(1,), (2,), (3,), (5,)]).count((500,))
 
 
 class TestCrossCheck:

@@ -133,12 +133,15 @@ class TestD59:
         clear_toric_caches()
         assert products[0] <= 440_000
 
-    def test_budget_is_inclusive(self):
-        assert toric.choose_fold(D59, budget=78_399)[0] == [1, 3, 0, 2]
+    def test_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(toric, "TERM_BUDGET", 78_399)
+        assert toric.choose_fold(D59)[0] == [1, 3, 0, 2]
+        monkeypatch.setattr(toric, "TERM_BUDGET", 78_398)
         with pytest.raises(BudgetError, match="78,398 terms"):
-            toric.choose_fold(D59, budget=78_398)
+            toric.choose_fold(D59)
 
-    def test_small_budget_raises(self):
+    def test_small_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(toric, "TERM_BUDGET", 10_000)
         with pytest.raises(BudgetError):
-            toric_reduce(D59, budget=10_000)
+            toric_reduce(D59)
         assert not issubclass(BudgetError, InvariantError)
