@@ -24,7 +24,7 @@ from .quasipoly import closed_form, eval_closed_box
 from .toric import toric_reduce
 
 # The memo budget of DMContext, in entries.  An entry takes about
-# 225 bytes (CPython 3.11), so the default stops a context near 450 MiB;
+# 225 bytes (CPython 3.11), so the budget stops a context near 450 MiB;
 # the tests' largest context holds about 82,000.
 MEMO_BUDGET = 2_000_000
 

@@ -83,7 +83,8 @@ ENTRY_LIMIT = (STRIDE // 2 - 1) // (MAX_POWER * (MAX_POWER + 1) // 2)
 REACH = MAX_POWER * (MAX_POWER + 1) // 2 * ENTRY_LIMIT
 
 # The term budget: no step of choose_fold's search may carry more terms,
-# and no relation of _absorption_data a larger multiplier or coefficient.  The largest fold the tests and the benchmark build, that of
+# and no relation of _absorption_data a larger multiplier or coefficient.
+# The largest fold the tests and the benchmark build, that of
 # [(3,1), (1,4), (7,2), (2,9)], has 78,399 terms and peaks near 250 MiB
 # through closed_form and its first evaluation; memory grows with the terms.
 TERM_BUDGET = 200_000
