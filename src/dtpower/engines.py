@@ -28,6 +28,12 @@ from .toric import toric_reduce
 # the tests' largest context holds about 82,000.
 MEMO_BUDGET = 2_000_000
 
+# The node budget of brute_force_box: interior nodes of its walk plus the
+# points of its lines at the last vector.  A node takes up to about 5 us
+# (CPython 3.11), so the budget stops a walk within a minute; the tests'
+# largest walk visits about 4,900 nodes.
+NODE_BUDGET = 10_000_000
+
 
 @dataclass
 class CountReport:
@@ -58,6 +64,11 @@ def brute_force_box(X, lo: Vec, hi: Vec, certificate: PointedCertificate) -> dic
     over the integer range that keeps the point inside the box, so every
     solution in the box is still visited once and none outside it is.
     Raises ValueError for a box whose corners do not have X's dimension.
+
+    The walk visits at most NODE_BUDGET nodes: each interior node counts
+    one, and each line at the last vector its number of points, at least
+    one.  A line or node that would pass the budget raises BudgetError
+    before it is walked.
     """
     X = [tuple(a) for a in X]
     s = len(X[0])
@@ -69,15 +80,23 @@ def brute_force_box(X, lo: Vec, hi: Vec, certificate: PointedCertificate) -> dic
     last, w_last = X[-1], weights[-1]
     n = len(X)
     counts: dict[Vec, int] = {}
+    budget, nodes = NODE_BUDGET, 0
 
     def walk(i: int, point: Vec, used: int) -> None:
+        nonlocal nodes
         if i == n - 1:
             j, top = _clip_line(point, last, lo, hi, (cap - used) // w_last)
+            nodes += max(top - j + 1, 1)
+            if nodes > budget:
+                raise _over_node_budget()
             point = tuple(p + j * c for p, c in zip(point, last))
             for _ in range(top - j + 1):
                 counts[point] = counts.get(point, 0) + 1
                 point = tuple(map(add, point, last))
             return
+        nodes += 1
+        if nodes > budget:
+            raise _over_node_budget()
         a, w = X[i], weights[i]
         for j in range((cap - used) // w + 1):
             walk(i + 1, tuple(p + j * c for p, c in zip(point, a)), used + j * w)
@@ -85,6 +104,10 @@ def brute_force_box(X, lo: Vec, hi: Vec, certificate: PointedCertificate) -> dic
     if cap >= 0:
         walk(0, (0,) * s, 0)
     return counts
+
+
+def _over_node_budget() -> BudgetError:
+    return BudgetError(f"the brute enumeration would pass its budget of {NODE_BUDGET:,} nodes")
 
 
 def _clip_line(point: Vec, a: Vec, lo: Vec, hi: Vec, top: int) -> tuple[int, int]:

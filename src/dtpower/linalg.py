@@ -214,8 +214,9 @@ def det_adj(basis: tuple[Vec, ...]):
     d = |det B| > 0 and adj[i] / d is row i of B^{-1}: lambda_i =
     <adj[i], u> / d solves sum(lambda_j * basis[j]) == u.  Row adj[i] is
     orthogonal to every column but basis[i] and pairs with it to d.  Cached
-    itself, because inverse_laplace_term asks for it once per reduced term
-    and the terms share a few bases.
+    itself, because its callers share a few bases: the fold search asks once
+    per basis subset of X, inversion once per denominator, the compile of
+    every closed form once per basis, and support_membership once per call.
     """
     s = len(basis)
     if any(len(b) != s for b in basis):

@@ -28,10 +28,13 @@ bucketed by the residue adj.offset mod d.  alpha lies on a piece's cone iff
 adj.alpha = adj.offset mod d and adj.alpha >= adj.offset, so a point meets
 its pieces by one dict lookup per basis and a sign test per candidate.
 Every polynomial is stored as int numerators over one common denominator L
-of the whole form, so neither eval_closed nor eval_closed_box makes a
-Fraction per point; the count is checked once, as a nonnegative multiple
-of L.  eval_closed_box walks each piece's cone lattice instead, clipping
-its last two coordinates to the box (Fourier-Motzkin, then per point).
+of the whole form, the lcm of its distinct coefficient denominators: a
+coefficient n/m becomes n * (L // m), with L // m computed once per
+distinct m, so the compile makes no Fraction, and neither eval_closed nor
+eval_closed_box makes one per point; the count is checked once, as a
+nonnegative multiple of L.  eval_closed_box walks each piece's cone
+lattice instead, clipping its last two coordinates to the box
+(Fourier-Motzkin, then per point).
 support_membership and MultiPoly.evaluate stay as the exact reference.
 """
 
@@ -112,28 +115,38 @@ class ClosedForm:
 class _Compiled:
     """The pieces of a closed form, arranged for evaluation in int.
 
-    denominator is L, the lcm of every coefficient's denominator.  bases
-    holds (adj, d, buckets) once per basis, where buckets maps the residue
-    tuple(adj.offset mod d) to the (adj.offset, numerators) of its pieces.
-    pieces holds (d, adj, numerators) in the form's piece order, for the box
-    walk.  numerators are (L * coefficient, ((k, power), ...)) per monomial.
+    denominator is L, the lcm of the distinct coefficient denominators.
+    bases holds (adj, d, buckets) once per basis, where buckets maps the
+    residue tuple(adj.offset mod d) to the (adj.offset, numerators) of its
+    pieces.  pieces holds (d, adj, numerators) in the form's piece order,
+    for the box walk.  numerators are (L * coefficient, ((k, power), ...))
+    per monomial, with the nonzero powers only; L * (n/m) is formed as
+    n * (L // m), exact because m divides L, and each distinct exponent
+    tuple's powers are built once and shared.
     """
 
     __slots__ = ("denominator", "bases", "pieces")
 
     def __init__(self, pieces):
-        self.denominator = lcm(*(c.denominator for p in pieces
-                                 for c in p.poly.monomials.values()))
+        scales = {c.denominator: None for p in pieces for c in p.poly.monomials.values()}
+        L = self.denominator = lcm(*scales)
+        for den in scales:
+            scales[den] = L // den
+        powers: dict[Vec, tuple] = {}
         solvers, self.pieces = {}, []
         for p in pieces:
             if p.basis not in solvers:
                 solvers[p.basis] = _solver(p.basis) + ({},)
             d, adj, buckets = solvers[p.basis]
-            nums = tuple((int(c * self.denominator),
-                          tuple((k, e) for k, e in enumerate(exps) if e))
-                         for exps, c in p.poly.monomials.items())
-            low = tuple(dot(row, p.offset) for row in adj)
-            buckets.setdefault(tuple(x % d for x in low), []).append((low, nums))
+            nums = []
+            for exps, c in p.poly.monomials.items():
+                ks = powers.get(exps)
+                if ks is None:
+                    ks = powers[exps] = tuple((k, e) for k, e in enumerate(exps) if e)
+                nums.append((c.numerator * scales[c.denominator], ks))
+            nums = tuple(nums)
+            low = tuple([sum(map(mul, row, p.offset)) for row in adj])
+            buckets.setdefault(tuple([x % d for x in low]), []).append((low, nums))
             self.pieces.append((d, adj, nums))
         self.bases = [(adj, d, buckets) for d, adj, buckets in solvers.values()]
 

@@ -159,6 +159,9 @@ class TestUsage:
          "".join(f"{x} {y}\n" for x, y in D59), "terms"),
         (engines, "MEMO_BUDGET", ["count", "--engine", "recursion", "--point", "5000"],
          "1\n2\n3\n5\n", "entries"),
+        # about 7 * 10^8 solutions
+        (engines, "NODE_BUDGET", ["count", "--engine", "brute", "--point", "5000"],
+         "1\n2\n3\n5\n", "nodes"),
     ])
     def test_budget_exceeded_exits_5(self, module, budget, args, text, unit,
                                      tmp_path, capsys, monkeypatch):

@@ -123,6 +123,34 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="do not have dimension 2"):
             brute_force_count(EX2, hi, cert2)
 
+    def test_node_budget_is_inclusive(self, monkeypatch):
+        # one interior node, then eleven one-point lines at the last vector
+        X = [(1,), (1,)]
+        cert = pointedness_certificate(X)
+        monkeypatch.setattr(engines, "NODE_BUDGET", 12)
+        assert brute_force_count(X, (10,), cert) == 11
+        monkeypatch.setattr(engines, "NODE_BUDGET", 11)
+        with pytest.raises(BudgetError, match="11 nodes"):
+            brute_force_count(X, (10,), cert)
+        assert not issubclass(BudgetError, InvariantError)
+
+    def test_node_budget_stops_a_line_before_walking_it(self, monkeypatch):
+        # a line of 100,001 points counts as a whole: the walk raises before
+        # it holds a single count of the line
+        X = [(1,)]
+        cert = pointedness_certificate(X)
+        monkeypatch.setattr(engines, "NODE_BUDGET", 100_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="100,000 nodes"):
+                brute_force_box(X, (0,), (100_000,), cert)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        monkeypatch.setattr(engines, "NODE_BUDGET", 100_001)
+        assert len(brute_force_box(X, (0,), (100_000,), cert)) == 100_001
+
 
 class TestIndependentCount:
     def test_scalar_multiple(self):

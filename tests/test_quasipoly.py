@@ -28,6 +28,11 @@ from dtpower.toric import toric_reduce
 CLOSED_FORMS = Path(__file__).parent / "golden" / "closed-forms.txt"
 
 
+@lru_cache(maxsize=None)
+def d59_reduced():
+    return toric_reduce(D59)
+
+
 def poly_of(coeffs):
     return MultiPoly({e: Fraction(c) for e, c in coeffs.items()})
 
@@ -65,7 +70,7 @@ class TestInverseLaplaceTerm:
         # every term of the pinned inputs, and every 97th of D59's, against
         # the linear factors multiplied out for each term on its own
         terms = [t for _, X in pinned_inputs() for t in toric_reduce(X).sum.terms]
-        terms += toric_reduce(D59).sum.terms[::97]
+        terms += d59_reduced().sum.terms[::97]
         for t in terms:
             assert inverse_laplace_term(t) == reference_inverse(t), t
 
@@ -433,6 +438,47 @@ class TestCompiledEvaluator:
     def test_point_of_another_dimension_rejected(self):
         with pytest.raises(ValueError, match="dimension 2"):
             eval_closed(closed_form(EX2), (0, 2, 0))
+
+    def test_compile_is_exact(self):
+        # the pinned forms, D59's, and every corpus form read back from JSON
+        forms = [closed_form(X) for _, X in pinned_inputs()]
+        forms.append(closed_form(D59, d59_reduced()))
+        forms += [closed_form_from_json(json.loads(json.dumps(closed_form_to_json(corpus_form(i)))))
+                  for i in range(len(CORPUS))]
+        for cf in forms:
+            comp = quasipoly._Compiled(cf.pieces)
+            L = comp.denominator
+            assert L == math.lcm(*(c.denominator for p in cf.pieces
+                                   for c in p.poly.monomials.values()))
+            assert len(comp.pieces) == len(cf.pieces)
+            for p, (d, adj, nums) in zip(cf.pieces, comp.pieces):
+                assert (d, adj) == det_adj(p.basis)
+                assert len(nums) == len(p.poly.monomials)
+                for (num, powers), (exps, c) in zip(nums, p.poly.monomials.items()):
+                    # Fraction(num, L) == c, without a Fraction per monomial
+                    assert num * c.denominator == c.numerator * L, (p, exps)
+                    assert all(e > 0 for _, e in powers)
+                    assert tuple(dict(powers).get(k, 0) for k in range(len(exps))) == exps
+
+    @pytest.mark.parametrize("X", [EX2, STRESS_B])
+    def test_compile_makes_no_fraction(self, X, monkeypatch):
+        cf = closed_form(X)
+        calls = []
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted("__new__", Fraction.__new__)))
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
+        assert cf._compiled.pieces
+        assert calls == []
+        # the counters see a product once one is made
+        assert Fraction(1, 2) * 3 == 3 * Fraction(1, 2)
+        assert {"__new__", "__mul__", "__rmul__"} <= set(calls)
 
 
 def corrupted(cf, k, factor):
