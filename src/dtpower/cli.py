@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Count nonnegative integer solutions of sum(beta_i * a_i) = alpha.",
         epilog="exit codes: 0 success, 2 invalid input or usage, 3 verification "
                "failure, 4 broken internal invariant (a bug; please report it), "
-               "5 valid input too large: a term or memo budget exceeded")
+               "5 valid input too large: a term, memo or node budget exceeded")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):

@@ -7,6 +7,12 @@ merged by adding powers, terms merged on the (shift, denominator) key.
 
 All algebra is exact; numeric evaluation exists only to spot-check
 identities and never feeds results.
+
+The reduction builds its numerators as packed Laurents (see toric), so the
+sum algebra here, make_sum, add, mul, monomial and geometric_factor, is off
+the build path: it is the reference the tests check the reduction against.
+The build uses the term types, make_term (through laplace_generating) and
+the numeric spot check.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ the unit term, and unpacked once, in _to_sum; absorb_vector adds its term's
 shift after unpacking.
 
 The reduction is order-dependent and non-unique; correctness is semantic
-(formal-identity preservation, spot-checked numerically in debug mode).
+(formal-identity preservation, spot-checked numerically with check=True).
 The number of terms depends on the fold order by orders of magnitude, so
 toric_reduce chooses its order by a bounded greedy search (choose_fold),
 within a term budget.
@@ -47,11 +47,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from . import expalg
 from .errors import BudgetError, InvariantError
 from .expalg import (DenomFactor, ExpMonomial, ExpRatSum, ExpRatTerm,
-                     geometric_factor, laplace_generating, make_sum, make_term,
-                     monomial, spot_check)
+                     laplace_generating, spot_check)
 from .linalg import (IntegerRelation, Vec, check_system, det_adj,
                      integer_relation, is_zero, rank, scale, vadd)
 
@@ -96,8 +94,9 @@ class ReducedForm:
     sum: ExpRatSum
 
 
-def expand_dependent(relation: IntegerRelation, basis) -> list[tuple[ExpRatSum, int]]:
-    """Coefficients gamma_i with y0 = sum_i gamma_i * y_i as a formal identity.
+def expand_dependent(relation: IntegerRelation, basis) -> list[tuple[Laurent, int]]:
+    """Coefficients gamma_i with y0 = sum_i gamma_i * y_i as a formal identity,
+    each a numerator {packed shift: int}.
 
     Here y0 = 1 - e^{-<m*t, x>} for the relation m*t = sum_i m_i * basis[i]
     (all m_i nonzero) and y_i = 1 - e^{-<basis[i], x>}.  Derived by telescoping
@@ -117,11 +116,9 @@ def expand_dependent(relation: IntegerRelation, basis) -> list[tuple[ExpRatSum, 
     out = []
     for j, (m, b) in enumerate(zip(coeffs, basis)):
         if m > 0:
-            g = geometric_factor(b, m)
+            gamma = {_pack(vadd(prefix, scale(b, -l))): 1 for l in range(m)}
         else:
-            p = -m
-            g = make_sum([make_term(-1, scale(b, l)) for l in range(1, p + 1)])
-        gamma = expalg.mul(monomial(1, prefix), g)
+            gamma = {_pack(vadd(prefix, scale(b, l))): -1 for l in range(1, 1 - m)}
         out.append((gamma, j))
         prefix = vadd(prefix, scale(b, -m))
     return out
@@ -203,9 +200,9 @@ def _absorption_data(denom: Denom, a: Vec) -> tuple[tuple, tuple[tuple[Denom, tu
     kept = [(m, v) for m, v in zip(rel.coefficients, vecs) if m != 0]
     sub_basis = [v for _, v in kept]
     sub_rel = IntegerRelation(rel.multiplier, tuple(m for m, _ in kept))
-    beta = tuple(_laurent(geometric_factor(a, rel.multiplier)).items())
+    beta = tuple((_pack(scale(a, -j)), 1) for j in range(rel.multiplier))
     y0 = (scale(a, rel.multiplier), 1)
-    gammas = [(_laurent(g), sub_basis[j]) for g, j in expand_dependent(sub_rel, sub_basis)]
+    gammas = [(g, sub_basis[j]) for g, j in expand_dependent(sub_rel, sub_basis)]
     return beta, tuple((d, tuple(num.items()), _product_floor(num, beta))
                        for d, num in partial_fraction(y0, gammas, denom).items())
 
@@ -446,12 +443,6 @@ def _unpack(packed: int, s: int) -> Vec:
         out.append(c)
         packed = (packed - c) // STRIDE
     return tuple(out)
-
-
-def _laurent(expr: ExpRatSum) -> Laurent:
-    """The numerator {packed shift: coeff} of a sum of exponentials without
-    denominators."""
-    return {_pack(t.num.shift): t.num.coeff for t in expr.terms}
 
 
 def _accumulate(target: Laurent, num: Laurent, factor) -> None:

@@ -186,3 +186,4 @@ class TestUsage:
         out = " ".join(capsys.readouterr().out.split())
         assert "exit codes" in out and "4 broken internal invariant" in out
         assert "5 valid input too large" in out
+        assert "a term, memo or node budget exceeded" in out
