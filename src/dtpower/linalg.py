@@ -4,7 +4,8 @@ Everything works over Python ints and fractions.Fraction; no floats enter
 any computation here.  Vectors are plain tuples of ints.  rank, det_adj,
 column_solver and integer_relation share one fraction-free elimination over
 int (_bareiss); solve_columns is the Fraction reference they are tested
-against.
+against.  pointedness_certificate eliminates over int rows too, each
+divided by its gcd, and makes Fractions only to back-substitute xi.
 """
 
 from __future__ import annotations
@@ -230,11 +231,15 @@ def pointedness_certificate(X):
 
     Returns None exactly when the system is infeasible, i.e. the cone spanned
     by X contains a line (some nonzero nonnegative combination vanishes).
+    The elimination runs over int rows <coefs, xi> >= r: a pos row cp and a
+    neg row cn combine as -cn[var] * cp + cp[var] * cn, right-hand side
+    included, divided by the row's gcd, a positive multiple of the rational
+    row that eliminates var.  Only the back-substitution of xi is rational.
     """
     if not X:
         return PointedCertificate(())
     s = len(X[0])
-    cons = [(tuple(Fraction(c) for c in a), Fraction(1)) for a in X]
+    cons = [(tuple(a), 1) for a in X]
     stages = []
     for var in range(s):
         stages.append(cons)
@@ -243,8 +248,10 @@ def pointedness_certificate(X):
         new = [c for c in cons if c[0][var] == 0]
         for cp, rp in pos:
             for cn, rn in neg:
-                coefs = tuple(cp[k] / cp[var] - cn[k] / cn[var] for k in range(s))
-                new.append((coefs, rp / cp[var] - rn / cn[var]))
+                coefs = [-cn[var] * x + cp[var] * y for x, y in zip(cp, cn)]
+                r = -cn[var] * rp + cp[var] * rn
+                g = gcd(*coefs, r) or 1
+                new.append((tuple(x // g for x in coefs), r // g))
         cons = new
     if any(r > 0 for _, r in cons):
         return None
@@ -255,7 +262,7 @@ def pointedness_certificate(X):
             c = coefs[var]
             if c == 0:
                 continue
-            bound = (r - sum(coefs[k] * xi[k] for k in range(var + 1, s))) / c
+            bound = Fraction(r - sum(coefs[k] * xi[k] for k in range(var + 1, s))) / c
             if c > 0:
                 lo = bound if lo is None else max(lo, bound)
             else:

@@ -14,12 +14,17 @@ of sum beta_i a_i = alpha at every integer point.
 A piece's polynomial depends on its term's denominator D, on the scale q
 and on c only through t_i = <w_i, c>, with w_i the primitive normal
 B_i^perp.  So what depends on D alone is computed once per denominator, in
-a cache keyed on D (_inversion_data): the basis and its adjugate, the w_i, the
-pairs <w_i, b_i>, the divisor, sum_i (h_i - 1) * b_i, and the product of
-the linear factors expanded over int in alpha and in the t_i.  Per term
-come the t_i, that product at them and the offset.  Fraction first
-appears at the one division per monomial, when the piece's MultiPoly is
-built.
+a cache keyed on D as (vector, power) pairs (_inversion_data): the basis
+and its adjugate, the w_i, the pairs <w_i, b_i>, the divisor,
+sum_i (h_i - 1) * b_i, and the product of the linear factors expanded over
+int in alpha and in the t_i.  Per term come the t_i, that product at them
+and the offset.  closed_form walks the reduction's grouped sum one
+denominator at a time and adds each term's values, over int, into its
+piece's numerators over L, the lcm of the divisors, so pieces that share
+(basis, offset) merge by int addition.  Fraction first appears at the
+end, once per distinct coefficient: each distinct numerator n becomes one
+Fraction(n, L), shared by every monomial with that coefficient.
+inverse_laplace_term and merge_pieces are the per-term reference.
 
 The evaluators do not test the pieces one by one.  On its first evaluation
 a ClosedForm compiles itself, once: the pieces are grouped by basis, with
@@ -190,25 +195,19 @@ def inverse_laplace_term(term: ExpRatTerm) -> ConePiece:
     offset; the one division, by prod (h_i - 1)! * pair_i^(h_i - 1), comes
     when the MultiPoly is built.
     """
-    basis, ws, table, divisor, lift = _inversion_data(term.denom)
+    denom = tuple((f.vector, f.power) for f in term.denom)
+    basis, ws, table, divisor, lift = _inversion_data(denom)
     q, c = term.num.coeff, term.num.shift
     t = [sum(map(mul, w, c)) for w in ws]
-    mono = {}
-    for e, entries in table:
-        v = 0
-        for r, ks in entries:
-            for i, k in ks:
-                r *= t[i] ** k
-            v += r
-        if v:
-            mono[e] = Fraction(q * v, divisor)
+    mono = {e: Fraction(q * v, divisor) for e, v in _table_at(table, t)}
     offset = tuple(-x - y for x, y in zip(c, lift))
     return ConePiece(basis, offset, MultiPoly(mono))
 
 
 @lru_cache(maxsize=4096)
 def _inversion_data(denom) -> tuple:
-    """(basis, ws, table, divisor, lift) of a reduced term's denominator.
+    """(basis, ws, table, divisor, lift) of a reduced term's denominator,
+    given as (vector, power) pairs.
 
     ws holds w_i, adjugate row i made primitive: orthogonal to every basis
     vector but b_i and positive on it.  With pair_i = <w_i, b_i>, table is
@@ -217,7 +216,7 @@ def _inversion_data(denom) -> tuple:
     ((i, power of t_i), ...)) pairs.  divisor is
     prod_i (h_i - 1)! * pair_i^(h_i - 1) and lift is sum_i (h_i - 1) * b_i.
     """
-    basis = tuple(f.vector for f in denom)
+    basis = tuple(v for v, _ in denom)
     s = len(basis[0]) if basis else 0
     _, adj = _solver(basis)
     # exponents of the expansion: alpha_1 .. alpha_s, then t_1 .. t_s
@@ -227,22 +226,37 @@ def _inversion_data(denom) -> tuple:
     poly = {zero: 1}
     divisor = 1
     lift = (0,) * s
-    for i, f in enumerate(denom):
+    for i, (v, h) in enumerate(denom):
         g = gcd(*adj[i])
         w = tuple(x // g for x in adj[i])
-        pair = dot(w, f.vector)
+        pair = dot(w, v)
         linear = [(e, x) for e, x in zip(unit, w) if x] + [(unit[s + i], 1)]
-        for j in range(1, f.power):
+        for j in range(1, h):
             poly = _times(poly, linear + [(zero, j * pair)])
         ws.append(w)
-        divisor *= factorial(f.power - 1) * pair ** (f.power - 1)
-        lift = vadd(lift, scale(f.vector, f.power - 1))
+        divisor *= factorial(h - 1) * pair ** (h - 1)
+        lift = vadd(lift, scale(v, h - 1))
     table: dict[Vec, list] = {}
     for e, r in poly.items():
         if r:
             ks = tuple((i, k) for i, k in enumerate(e[s:]) if k)
             table.setdefault(e[:s], []).append((r, ks))
     return basis, tuple(ws), tuple(table.items()), divisor, lift
+
+
+def _table_at(table, t) -> list[tuple[Vec, int]]:
+    """(exponents, value) of an _inversion_data table at the pairings t,
+    nonzero values only."""
+    out = []
+    for e, entries in table:
+        v = 0
+        for r, ks in entries:
+            for i, k in ks:
+                r *= t[i] ** k
+            v += r
+        if v:
+            out.append((e, v))
+    return out
 
 
 def _times(mono: dict[Vec, int], factor) -> dict[Vec, int]:
@@ -256,15 +270,45 @@ def _times(mono: dict[Vec, int], factor) -> dict[Vec, int]:
 
 
 def closed_form(X, reduced: ReducedForm | None = None) -> ClosedForm:
-    """Toric-reduce X and invert every term; merge pieces on (basis, offset).
+    """Toric-reduce X and invert the grouped sum, one denominator at a
+    time; pieces that share (basis, offset) merge.
 
     A caller that already holds toric_reduce(X) passes it as reduced, and X
-    is not reduced again.
+    is not reduced again.  Each denominator's _inversion_data is looked up
+    once.  Each term q * e^{<c,x>} adds q * v * (L // divisor) per monomial
+    into its piece's int numerators, L the lcm of the divisors; monomials
+    that sum to zero and pieces left empty are dropped.  Each distinct
+    numerator n becomes one Fraction(n, L), shared by every monomial equal
+    to it.  The result equals merge_pieces over inverse_laplace_term of
+    every term.
     """
     rf = toric_reduce(X) if reduced is None else reduced
     if rf.source != tuple(tuple(a) for a in X):
         raise ValueError("reduced form belongs to another system")
-    return merge_pieces(rf.source, [inverse_laplace_term(t) for t in rf.sum.terms])
+    data = {denom: _inversion_data(denom) for denom in rf.grouped}
+    L = lcm(*(divisor for _, _, _, divisor, _ in data.values()))
+    acc: dict[tuple, dict[Vec, int]] = {}
+    for denom, num in rf.numerators():
+        basis, ws, table, divisor, lift = data[denom]
+        m = L // divisor
+        for c, q in num:
+            key = (basis, tuple([-x - y for x, y in zip(c, lift)]))
+            values = _table_at(table, [sum(map(mul, w, c)) for w in ws])
+            qm = q * m
+            poly = acc.get(key)
+            if poly is None:
+                acc[key] = {e: qm * v for e, v in values}
+            else:
+                for e, v in values:
+                    poly[e] = poly.get(e, 0) + qm * v
+    numerators = {n for poly in acc.values() for n in poly.values() if n}
+    shared = {n: Fraction(n, L) for n in numerators}
+    pieces = []
+    for key in sorted(acc):
+        mono = {e: shared[n] for e, n in acc[key].items() if n}
+        if mono:
+            pieces.append(ConePiece(*key, MultiPoly(mono)))
+    return ClosedForm(rf.source, tuple(pieces))
 
 
 def merge_pieces(source, pieces) -> ClosedForm:

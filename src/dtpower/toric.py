@@ -13,14 +13,15 @@ Barvinok and LattE: it maps each denominator, a sorted tuple of
 absorbs each distinct denominator once, through a rewrite cached on
 (denominator, vector), and multiplies the denominator's whole numerator into
 it; it makes no dataclass per term.  The denominators of the result are the
-toric arrangement.  Only toric_reduce turns the grouped sum into an
-ExpRatSum.
+toric arrangement.  ReducedForm keeps the grouped sum; its ExpRatSum,
+ReducedForm.sum, is built on demand, the first time a caller asks for
+terms.
 
 Inside the module a shift is one packed int (see STRIDE), so multiplying
 numerators adds ints and builds no tuple per product.  Shifts are packed
 where they enter, the monomials of a gamma or of beta and the numerator of
-the unit term, and unpacked once, in _to_sum; absorb_vector adds its term's
-shift after unpacking.
+the unit term, and unpacked once, in _to_sum or in ReducedForm.numerators;
+absorb_vector adds its term's shift after unpacking.
 
 The reduction is order-dependent and non-unique; correctness is semantic
 (formal-identity preservation, spot-checked numerically with check=True).
@@ -43,8 +44,8 @@ when a step reaches it, and a lower bound on that product's length
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .errors import BudgetError, InvariantError
@@ -90,8 +91,23 @@ TERM_BUDGET = 200_000
 
 @dataclass(frozen=True)
 class ReducedForm:
+    """The reduction of source: grouped maps each denominator to its
+    numerator {packed shift: int}, the form choose_fold returns."""
+
     source: tuple[Vec, ...]
-    sum: ExpRatSum
+    grouped: Grouped = field(hash=False)  # compared by ==, left out of hash
+
+    @cached_property
+    def sum(self) -> ExpRatSum:
+        """The terms, built on the first access and kept on this instance."""
+        return _to_sum(self.grouped, len(self.source[0]))
+
+    def numerators(self):
+        """(denominator, [(shift, coeff), ...]) for each denominator of the
+        grouped sum, in its order, with each shift unpacked into Z^s."""
+        s = len(self.source[0])
+        for denom, num in self.grouped.items():
+            yield denom, [(_unpack(c, s), q) for c, q in num.items()]
 
 
 def expand_dependent(relation: IntegerRelation, basis) -> list[tuple[Laurent, int]]:
@@ -276,13 +292,12 @@ def toric_reduce(X, check: bool = False, seed: int = 0) -> ReducedForm:
 
     s = len(X[0])
     order, grouped = choose_fold(X)
-    reduced = _to_sum(grouped, s)
+    rf = ReducedForm(tuple(X), grouped)
     if check:  # each step of the order; the last one is the sum returned
         for k in range(1, len(X) + 1):
-            part = reduced if k == len(X) else _to_sum(_fold(X, order[:k]), s)
+            part = rf.sum if k == len(X) else _to_sum(_fold(X, order[:k]), s)
             spot_check(part, laplace_generating([X[i] for i in order[:k]]), X, seed)
 
-    rf = ReducedForm(tuple(X), reduced)
     assert_reduced_invariants(rf)
     return rf
 
@@ -399,17 +414,18 @@ def choose_fold(X) -> tuple[list[int], Grouped]:
 
 def assert_reduced_invariants(rf: ReducedForm) -> None:
     """Structural guarantees of the reduction.  Each depends only on a
-    term's denominator, so each distinct denominator is checked once."""
+    term's denominator, so each denominator of the grouped sum is checked
+    once."""
     X = rf.source
     s = len(X[0])
     n = len(X)
-    for denom in dict.fromkeys(t.denom for t in rf.sum.terms):
-        vecs = [f.vector for f in denom]
+    for denom in rf.grouped:
+        vecs = [v for v, _ in denom]
         if len(vecs) != s:
             raise InvariantError(f"term has {len(vecs)} denominators, expected {s}")
         if rank(vecs) != s:
             raise InvariantError("dependent denominator vectors")
-        power = sum(f.power for f in denom)
+        power = sum(p for _, p in denom)
         if power != n:
             raise InvariantError(f"power conservation broken: {power} != {n}")
         for v in vecs:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import D59, pinned_inputs
 from dtpower.linalg import (IntegerRelation, column_solver, det_adj, dot,
                             integer_relation, orth_complement,
                             pointedness_certificate, rank, solve_columns,
@@ -214,6 +215,19 @@ class TestDetAdj:
             assert tuple(c // g for c in row) == orth_complement(basis, i)
 
 
+def _small_system(seed):
+    """One to three nonzero vectors of dimension 1 or 2, entries in [-2, 2]."""
+    rng = random.Random(200 + seed)
+    s = rng.randint(1, 2)
+    n = rng.randint(1, 3)
+    X = []
+    while len(X) < n:
+        v = tuple(rng.randint(-2, 2) for _ in range(s))
+        if any(v):
+            X.append(v)
+    return X
+
+
 def _zero_combination_exists(X):
     """Oracle: small-search for nonzero beta in N^n with sum beta_i a_i = 0."""
     n = len(X)
@@ -227,6 +241,48 @@ def _zero_combination_exists(X):
                    for k in range(len(X[0]))):
                 return True
     return False
+
+
+def reference_certificate(X):
+    """Fourier-Motzkin over Fraction rows, each pos/neg pair combined as
+    cp / cp[var] - cn / cn[var]: the reference for the int elimination of
+    pointedness_certificate.  xi, or None when X is not pointed."""
+    s = len(X[0])
+    cons = [(tuple(Fraction(c) for c in a), Fraction(1)) for a in X]
+    stages = []
+    for var in range(s):
+        stages.append(cons)
+        pos = [c for c in cons if c[0][var] > 0]
+        neg = [c for c in cons if c[0][var] < 0]
+        new = [c for c in cons if c[0][var] == 0]
+        for cp, rp in pos:
+            for cn, rn in neg:
+                coefs = tuple(cp[k] / cp[var] - cn[k] / cn[var] for k in range(s))
+                new.append((coefs, rp / cp[var] - rn / cn[var]))
+        cons = new
+    if any(r > 0 for _, r in cons):
+        return None
+    xi = [Fraction(0)] * s
+    for var in reversed(range(s)):
+        lo = hi = None
+        for coefs, r in stages[var]:
+            c = coefs[var]
+            if c == 0:
+                continue
+            bound = (r - sum(coefs[k] * xi[k] for k in range(var + 1, s))) / c
+            if c > 0:
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                hi = bound if hi is None else min(hi, bound)
+        if lo is None and hi is None:
+            xi[var] = Fraction(0)
+        elif lo is None:
+            xi[var] = hi
+        elif hi is None:
+            xi[var] = lo
+        else:
+            xi[var] = (lo + hi) / 2
+    return tuple(xi)
 
 
 class TestPointedness:
@@ -244,15 +300,21 @@ class TestPointedness:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_enumeration_oracle(self, seed):
-        rng = random.Random(200 + seed)
-        s = rng.randint(1, 2)
-        n = rng.randint(1, 3)
-        X = []
-        while len(X) < n:
-            v = tuple(rng.randint(-2, 2) for _ in range(s))
-            if any(v):
-                X.append(v)
+        X = _small_system(seed)
         assert (pointedness_certificate(X) is not None) == (not _zero_combination_exists(X))
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_small_systems_match_fraction_reference(self, seed):
+        # the oracle's systems, pointed or not
+        X = _small_system(seed)
+        cert = pointedness_certificate(X)
+        assert (None if cert is None else cert.xi) == reference_certificate(X)
+
+    def test_matches_fraction_reference(self):
+        # the int elimination's rows are positive multiples of the rational
+        # ones, so the back-substitution meets the same bounds
+        for label, X in pinned_inputs() + [("d59", D59)]:
+            assert pointedness_certificate(X).xi == reference_certificate(X), label
 
 
 class TestRank:

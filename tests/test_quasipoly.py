@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import D59, EX1, EX2, STRESS_B, pinned_inputs, random_pointed_systems
-from dtpower import quasipoly
+from dtpower import quasipoly, toric
 from dtpower.cli import closed_form_from_json, closed_form_to_json
 from dtpower.engines import box_points, brute_force_count
 from dtpower.errors import InvariantError
@@ -80,7 +80,8 @@ class TestInverseLaplaceTerm:
         closed_form(STRESS_B, rf)
         info = quasipoly._inversion_data.cache_info()
         denominators = {t.denom for t in rf.sum.terms}
-        assert info.misses == len(denominators) < len(rf.sum.terms) == info.hits + info.misses
+        assert info.misses == len(rf.grouped) == len(denominators) < len(rf.sum.terms)
+        assert info.hits == 0
         quasipoly._inversion_data.cache_clear()
 
 
@@ -186,6 +187,49 @@ class TestPinnedOutput:
             got[label] = hashlib.sha256(doc.encode()).hexdigest()
         assert len(want) == 100
         assert got == want
+
+
+class TestGroupedInversion:
+    """closed_form inverts the reduction's grouped sum one denominator at a
+    time; inverse_laplace_term and merge_pieces are its per-term reference."""
+
+    def test_goldens_without_terms(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("closed_form went through the per-term path")
+
+        monkeypatch.setattr(toric, "_to_sum", refuse)
+        monkeypatch.setattr(quasipoly, "inverse_laplace_term", refuse)
+        monkeypatch.setattr(quasipoly, "merge_pieces", refuse)
+        want = dict(line.split() for line in CLOSED_FORMS.read_text().splitlines())
+        labels = [label for label, _ in pinned_inputs() if not label.startswith("seeded")]
+        assert len(labels) == 50
+        inputs = dict(pinned_inputs())
+        for label in labels:
+            doc = json.dumps(closed_form_to_json(closed_form(inputs[label])), sort_keys=True)
+            assert hashlib.sha256(doc.encode()).hexdigest() == want[label], label
+
+    def test_one_fraction_per_distinct_coefficient(self, monkeypatch):
+        rf = toric_reduce(STRESS_B)
+        calls = []
+        new = Fraction.__new__
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return new(*args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        cf = closed_form(STRESS_B, rf)
+        monkeypatch.undo()
+        values = {c for p in cf.pieces for c in p.poly.monomials.values()}
+        monomials = sum(len(p.poly.monomials) for p in cf.pieces)
+        assert 0 < len(calls) <= len(values) < monomials
+
+    def test_matches_per_term_reference(self):
+        cases = [(X, toric_reduce(X)) for _, X in pinned_inputs()]
+        cases.append((D59, d59_reduced()))
+        for X, rf in cases:
+            want = merge_pieces(X, [inverse_laplace_term(t) for t in rf.sum.terms])
+            assert closed_form(X, rf) == want, X
 
 
 class TestEvalClosed:

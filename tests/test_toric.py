@@ -419,7 +419,7 @@ class TestReducedInvariants:
     def test_corrupted_form_raises(self, factors, message):
         source = ((1, 0), (0, 1), (-1, 2))
         assert_reduced_invariants(toric_reduce(source))
-        bad = ReducedForm(source, ExpRatSum((make_term(1, (0, 0), factors),)))
+        bad = ReducedForm(source, {tuple((f.vector, f.power) for f in factors): {0: 1}})
         with pytest.raises(InvariantError, match=message):
             assert_reduced_invariants(bad)
 
