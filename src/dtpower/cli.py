@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .engines import brute_force_count, cross_check, dm_count
 from .errors import BudgetError, InvariantError
@@ -84,22 +85,22 @@ def fmt_linear(coeffs, names) -> str:
     return _join_signed(parts) if parts else "0"
 
 
-def _fmt_poly(poly: MultiPoly, names, coeff, sep: str) -> str:
-    """poly with coefficients formatted by coeff and factors joined by sep,
-    highest degree first: str and "*" for text, _latex_frac and " " for LaTeX."""
+def _fmt_poly(poly: dict[Vec, int], den: int, names, coeff, sep: str) -> str:
+    """The polynomial poly[exponents] / den, highest degree first: _ratio and
+    "*" for text, _latex_frac and " " for LaTeX, as coeff(n, den) and sep."""
     bits = []
-    for exps in sorted(poly.monomials, key=lambda e: (-sum(e), e)):
-        c = poly.monomials[exps]
-        var = sep.join(f"{n}^{p}" if p > 1 else n
-                       for n, p in zip(names, exps) if p)
+    for exps in sorted(poly, key=lambda e: (-sum(e), e)):
+        n = poly[exps]
+        var = sep.join(f"{v}^{p}" if p > 1 else v
+                       for v, p in zip(names, exps) if p)
         if not var:
-            bits.append(coeff(c))
-        elif c == 1:
+            bits.append(coeff(n, den))
+        elif n == den:
             bits.append(var)
-        elif c == -1:
+        elif n == -den:
             bits.append(f"-{var}")
         else:
-            bits.append(f"{coeff(c)}{sep}{var}")
+            bits.append(f"{coeff(n, den)}{sep}{var}")
     return _join_signed(bits) if bits else "0"
 
 
@@ -126,7 +127,7 @@ def render_reduced_latex(rf) -> str:
     parts = []
     for t in rf.sum.terms:
         q = t.num.coeff
-        num = f"{_latex_frac(abs(q))} e^{{{fmt_linear(t.num.shift, names)}}}"
+        num = f"{_latex_frac(abs(q), 1)} e^{{{fmt_linear(t.num.shift, names)}}}"
         den = "".join(
             f"(1-e^{{-({fmt_linear(f.vector, names)})}})^{{{f.power}}}"
             for f in t.denom)
@@ -134,30 +135,32 @@ def render_reduced_latex(rf) -> str:
     return _join_signed(parts)
 
 
-def _latex_frac(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    sign = "-" if q < 0 else ""
-    return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
+def _latex_frac(n: int, d: int) -> str:
+    """n / d in lowest terms, as LaTeX; d > 0."""
+    g = gcd(n, d)
+    if g == d:
+        return str(n // g)
+    return f"{'-' if n < 0 else ''}\\frac{{{abs(n) // g}}}{{{d // g}}}"
 
 
 def render_closed_text(cf: ClosedForm) -> str:
     names = _varnames(len(cf.source[0]))
     lines = []
-    for p in cf.pieces:
-        basis = ", ".join(str(b) for b in p.basis)
-        lines.append(f"[{_fmt_poly(p.poly, names, str, '*')}]  on  {p.offset} + N*{{{basis}}}")
+    for basis, offset, poly in cf.numerators:
+        cone = ", ".join(str(b) for b in basis)
+        lines.append(f"[{_fmt_poly(poly, cf.denominator, names, _ratio, '*')}]  on  "
+                     f"{offset} + N*{{{cone}}}")
     return "\n".join(lines)
 
 
 def render_closed_latex(cf: ClosedForm) -> str:
     names = _varnames(len(cf.source[0]))
     parts = []
-    for p in cf.pieces:
-        basis = ",".join("(" + ",".join(str(c) for c in b) + ")" for b in p.basis)
-        shift = ", ".join(f"{n} - ({v})" for n, v in zip(names, p.offset))
-        poly = _fmt_poly(p.poly, names, _latex_frac, " ")
-        parts.append(f"\\left({poly}\\right)\\, t_{{\\{{{basis}\\}}}}({shift})")
+    for basis, offset, poly in cf.numerators:
+        cone = ",".join("(" + ",".join(str(c) for c in b) + ")" for b in basis)
+        shift = ", ".join(f"{n} - ({v})" for n, v in zip(names, offset))
+        text = _fmt_poly(poly, cf.denominator, names, _latex_frac, " ")
+        parts.append(f"\\left({text}\\right)\\, t_{{\\{{{cone}\\}}}}({shift})")
     return " + ".join(parts)
 
 
@@ -169,26 +172,30 @@ def closed_form_to_json(cf: ClosedForm) -> dict:
         "vectors": [list(v) for v in cf.source],
         "pieces": [
             {
-                "basis": [list(b) for b in p.basis],
-                "offset": list(p.offset),
+                "basis": [list(b) for b in basis],
+                "offset": list(offset),
                 "poly": [
-                    {"exponents": list(e), "coeff": str(p.poly.monomials[e])}
-                    for e in sorted(p.poly.monomials)
+                    {"exponents": list(e), "coeff": _ratio(poly[e], cf.denominator)}
+                    for e in sorted(poly)
                 ],
             }
-            for p in cf.pieces
+            for basis, offset, poly in cf.numerators
         ],
     }
 
 
+def _ratio(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without making the Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def closed_form_from_json(data: dict) -> ClosedForm:
-    pieces = []
-    for p in data["pieces"]:
-        poly = MultiPoly({tuple(m["exponents"]): Fraction(m["coeff"])
-                          for m in p["poly"]})
-        pieces.append(ConePiece(tuple(tuple(b) for b in p["basis"]),
-                                tuple(p["offset"]), poly))
-    return ClosedForm(tuple(tuple(v) for v in data["vectors"]), tuple(pieces))
+    coeffs = {t: Fraction(t) for t in {m["coeff"] for p in data["pieces"] for m in p["poly"]}}
+    pieces = [ConePiece(tuple(tuple(b) for b in p["basis"]), tuple(p["offset"]),
+                        MultiPoly({tuple(m["exponents"]): coeffs[m["coeff"]] for m in p["poly"]}))
+              for p in data["pieces"]]
+    return ClosedForm.from_pieces(data["vectors"], pieces)
 
 
 def reduced_to_json(rf) -> dict:

@@ -185,16 +185,12 @@ class DMContext:
         self._base = column_solver(tuple(self.X[:k]))
         self.memo: dict[tuple[int, Vec], int] = {}
 
-    def count(self, alpha, k: int | None = None) -> int:
-        if k is None:
-            k = len(self.X)
+    def count(self, alpha) -> int:
         alpha = tuple(alpha)
         u = dot(self.xs, alpha)
         if u < 0:
             return 0
-        if k < self.base_len:
-            return independent_count(self.X[:k], alpha)
-        return self._count(alpha, u, k)
+        return self._count(alpha, u, len(self.X))
 
     def _count(self, alpha: Vec, u: int, k: int) -> int:
         """t_k(alpha) for k >= base_len, given u = <xs, alpha> >= 0."""

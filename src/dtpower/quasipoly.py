@@ -21,10 +21,15 @@ int in alpha and in the t_i.  Per term come the t_i, that product at them
 and the offset.  closed_form walks the reduction's grouped sum one
 denominator at a time and adds each term's values, over int, into its
 piece's numerators over L, the lcm of the divisors, so pieces that share
-(basis, offset) merge by int addition.  Fraction first appears at the
-end, once per distinct coefficient: each distinct numerator n becomes one
-Fraction(n, L), shared by every monomial with that coefficient.
-inverse_laplace_term and merge_pieces are the per-term reference.
+(basis, offset) merge by int addition.
+
+A ClosedForm is those int numerators, per piece (basis, offset,
+{exponents: n}), over one denominator, divided by their gcd: so it is the
+least one, and forms of the same polynomials are == however they were
+built, by closed_form or by ClosedForm.from_pieces from Fraction pieces
+(merge_pieces, and the JSON reader).  The renderers and the JSON writer
+read the int form too; pieces, the Fraction view, is built on its first
+access, for the tests and the benchmark.
 
 The evaluators do not test the pieces one by one.  On its first evaluation
 a ClosedForm compiles itself, once: the pieces are grouped by basis, with
@@ -32,12 +37,9 @@ a ClosedForm compiles itself, once: the pieces are grouped by basis, with
 bucketed by the residue adj.offset mod d.  alpha lies on a piece's cone iff
 adj.alpha = adj.offset mod d and adj.alpha >= adj.offset, so a point meets
 its pieces by one dict lookup per basis and a sign test per candidate.
-Every polynomial is stored as int numerators over one common denominator L
-of the whole form, the lcm of its distinct coefficient denominators: a
-coefficient n/m becomes n * (L // m), with L // m computed once per
-distinct m, so the compile makes no Fraction, and neither eval_closed nor
-eval_closed_box makes one per point; the count is checked once, as a
-nonnegative multiple of L.  eval_closed_box walks each piece's cone
+The compile reads the int numerators as they are, so neither it nor the
+evaluators make a Fraction; the count is checked once, as a nonnegative
+multiple of the denominator.  eval_closed_box walks each piece's cone
 lattice instead, clipping its last two coordinates to the box
 (Fourier-Motzkin, then per point).
 support_membership and MultiPoly.evaluate stay as the exact reference.
@@ -64,20 +66,6 @@ class MultiPoly:
 
     monomials: dict[Vec, Fraction]
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self.monomials)
-        for e, c in other.monomials.items():
-            v = out.get(e, Fraction(0)) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return MultiPoly(out)
-
-    def scaled(self, q) -> "MultiPoly":
-        q = Fraction(q)
-        return MultiPoly({e: c * q for e, c in self.monomials.items()} if q else {})
-
     def evaluate(self, point) -> Fraction:
         total = Fraction(0)
         for e, c in self.monomials.items():
@@ -94,9 +82,6 @@ class MultiPoly:
             return -1
         return max(sum(e) for e in self.monomials)
 
-    def is_zero(self) -> bool:
-        return not self.monomials
-
 
 @dataclass(frozen=True)
 class ConePiece:
@@ -107,57 +92,87 @@ class ConePiece:
 
 @dataclass(frozen=True)
 class ClosedForm:
+    """t_X as (basis, offset, {exponents: n}) per piece, sorted, over the
+    least denominator: == compares the polynomials, the hash leaves them out."""
+
     source: tuple[Vec, ...]
-    pieces: tuple[ConePiece, ...]
+    denominator: int = field(hash=False)
+    numerators: tuple[tuple[tuple[Vec, ...], Vec, dict[Vec, int]], ...] = field(hash=False)
+
+    @classmethod
+    def from_pieces(cls, source, pieces) -> ClosedForm:
+        """The form of ConePieces with Fraction coefficients; pieces that
+        share (basis, offset) merge."""
+        pieces = tuple(pieces)
+        L = lcm(*{c.denominator for p in pieces for c in p.poly.monomials.values()})
+        acc: dict[tuple, dict[Vec, int]] = {}
+        for p in pieces:
+            poly = acc.setdefault((p.basis, p.offset), {})
+            for e, c in p.poly.monomials.items():
+                poly[e] = poly.get(e, 0) + c.numerator * (L // c.denominator)
+        return _canonical(source, L, acc)
 
     @cached_property
-    def _compiled(self) -> _Compiled:
+    def pieces(self) -> tuple[ConePiece, ...]:
+        """The pieces with Fraction coefficients, one Fraction per distinct
+        numerator; built on the first access and kept on this instance."""
+        L = self.denominator
+        distinct = {n for _, _, poly in self.numerators for n in poly.values()}
+        shared = {n: Fraction(n, L) for n in distinct}
+        return tuple(ConePiece(basis, offset, MultiPoly({e: shared[n] for e, n in poly.items()}))
+                     for basis, offset, poly in self.numerators)
+
+    @cached_property
+    def _compiled(self) -> tuple[list, list]:
         """Built on the first evaluation and kept on this instance only; a
-        piece's polynomial changed in place after that is not seen."""
-        return _Compiled(self.pieces)
+        numerator changed in place after that is not seen."""
+        return _compile(self.numerators)
 
 
-class _Compiled:
-    """The pieces of a closed form, arranged for evaluation in int.
+def _canonical(source, L: int, acc: dict[tuple, dict[Vec, int]]) -> ClosedForm:
+    """The ClosedForm of acc, {(basis, offset): {exponents: n}} over L: zero
+    monomials and empty pieces dropped, pieces sorted, and L and every n
+    divided by their gcd."""
+    g = gcd(L, *(n for poly in acc.values() for n in poly.values()))
+    numerators = []
+    for key in sorted(acc):
+        poly = {e: n // g for e, n in acc[key].items() if n}
+        if poly:
+            numerators.append((*key, poly))
+    return ClosedForm(tuple(tuple(a) for a in source), L // g, tuple(numerators))
 
-    denominator is L, the lcm of the distinct coefficient denominators.
+
+def _compile(numerators) -> tuple[list, list]:
+    """(bases, pieces): a form's int numerators arranged for evaluation.
+
     bases holds (adj, d, buckets) once per basis, where buckets maps the
-    residue tuple(adj.offset mod d) to the (adj.offset, numerators) of its
-    pieces.  pieces holds (d, adj, numerators) in the form's piece order,
-    for the box walk.  numerators are (L * coefficient, ((k, power), ...))
-    per monomial, with the nonzero powers only; L * (n/m) is formed as
-    n * (L // m), exact because m divides L, and each distinct exponent
-    tuple's powers are built once and shared.
+    residue tuple(adj.offset mod d) to the (adj.offset, nums) of its
+    pieces.  pieces holds (basis, offset, d, adj, nums) in the form's piece
+    order, for the box walk.  nums are (n, ((k, power), ...)) per monomial,
+    with the nonzero powers only; each distinct exponent tuple's powers are
+    built once and shared.
     """
-
-    __slots__ = ("denominator", "bases", "pieces")
-
-    def __init__(self, pieces):
-        scales = {c.denominator: None for p in pieces for c in p.poly.monomials.values()}
-        L = self.denominator = lcm(*scales)
-        for den in scales:
-            scales[den] = L // den
-        powers: dict[Vec, tuple] = {}
-        solvers, self.pieces = {}, []
-        for p in pieces:
-            if p.basis not in solvers:
-                solvers[p.basis] = _solver(p.basis) + ({},)
-            d, adj, buckets = solvers[p.basis]
-            nums = []
-            for exps, c in p.poly.monomials.items():
-                ks = powers.get(exps)
-                if ks is None:
-                    ks = powers[exps] = tuple((k, e) for k, e in enumerate(exps) if e)
-                nums.append((c.numerator * scales[c.denominator], ks))
-            nums = tuple(nums)
-            low = tuple([sum(map(mul, row, p.offset)) for row in adj])
-            buckets.setdefault(tuple([x % d for x in low]), []).append((low, nums))
-            self.pieces.append((d, adj, nums))
-        self.bases = [(adj, d, buckets) for d, adj, buckets in solvers.values()]
+    powers: dict[Vec, tuple] = {}
+    solvers, pieces = {}, []
+    for basis, offset, poly in numerators:
+        if basis not in solvers:
+            solvers[basis] = _solver(basis) + ({},)
+        d, adj, buckets = solvers[basis]
+        nums = []
+        for exps, n in poly.items():
+            ks = powers.get(exps)
+            if ks is None:
+                ks = powers[exps] = tuple((k, e) for k, e in enumerate(exps) if e)
+            nums.append((n, ks))
+        nums = tuple(nums)
+        low = tuple([sum(map(mul, row, offset)) for row in adj])
+        buckets.setdefault(tuple([x % d for x in low]), []).append((low, nums))
+        pieces.append((basis, offset, d, adj, nums))
+    return [(adj, d, buckets) for d, adj, buckets in solvers.values()], pieces
 
 
 def _numerator(nums, alpha) -> int:
-    """L times a compiled polynomial's value at alpha."""
+    """The form's denominator times a compiled polynomial's value at alpha."""
     total = 0
     for v, powers in nums:
         for k, e in powers:
@@ -277,10 +292,9 @@ def closed_form(X, reduced: ReducedForm | None = None) -> ClosedForm:
     is not reduced again.  Each denominator's _inversion_data is looked up
     once.  Each term q * e^{<c,x>} adds q * v * (L // divisor) per monomial
     into its piece's int numerators, L the lcm of the divisors; monomials
-    that sum to zero and pieces left empty are dropped.  Each distinct
-    numerator n becomes one Fraction(n, L), shared by every monomial equal
-    to it.  The result equals merge_pieces over inverse_laplace_term of
-    every term.
+    that sum to zero and pieces left empty are dropped, and L and the
+    numerators are divided by their gcd.  The result equals merge_pieces
+    over inverse_laplace_term of every term.
     """
     rf = toric_reduce(X) if reduced is None else reduced
     if rf.source != tuple(tuple(a) for a in X):
@@ -293,33 +307,14 @@ def closed_form(X, reduced: ReducedForm | None = None) -> ClosedForm:
         m = L // divisor
         for c, q in num:
             key = (basis, tuple([-x - y for x, y in zip(c, lift)]))
-            values = _table_at(table, [sum(map(mul, w, c)) for w in ws])
-            qm = q * m
-            poly = acc.get(key)
-            if poly is None:
-                acc[key] = {e: qm * v for e, v in values}
-            else:
-                for e, v in values:
-                    poly[e] = poly.get(e, 0) + qm * v
-    numerators = {n for poly in acc.values() for n in poly.values() if n}
-    shared = {n: Fraction(n, L) for n in numerators}
-    pieces = []
-    for key in sorted(acc):
-        mono = {e: shared[n] for e, n in acc[key].items() if n}
-        if mono:
-            pieces.append(ConePiece(*key, MultiPoly(mono)))
-    return ClosedForm(rf.source, tuple(pieces))
+            qm, poly = q * m, acc.setdefault(key, {})
+            for e, v in _table_at(table, [sum(map(mul, w, c)) for w in ws]):
+                poly[e] = poly.get(e, 0) + qm * v
+    return _canonical(rf.source, L, acc)
 
 
-def merge_pieces(source, pieces) -> ClosedForm:
-    acc: dict[tuple, MultiPoly] = {}
-    for p in pieces:
-        key = (p.basis, p.offset)
-        acc[key] = acc[key] + p.poly if key in acc else p.poly
-    merged = [ConePiece(b, off, poly) for (b, off), poly in acc.items()
-              if not poly.is_zero()]
-    merged.sort(key=lambda p: (p.basis, p.offset))
-    return ClosedForm(tuple(tuple(a) for a in source), tuple(merged))
+# the per-term reference's merge
+merge_pieces = ClosedForm.from_pieces
 
 
 def eval_closed(cf: ClosedForm, alpha) -> int:
@@ -331,16 +326,16 @@ def eval_closed(cf: ClosedForm, alpha) -> int:
     alpha = tuple(alpha)
     if len(alpha) != len(cf.source[0]):
         raise ValueError(f"point {alpha} does not have dimension {len(cf.source[0])}")
-    comp = cf._compiled
+    bases, _ = cf._compiled
     total = 0
-    for adj, d, buckets in comp.bases:
+    for adj, d, buckets in bases:
         u = tuple([sum(r * x for r, x in zip(row, alpha)) for row in adj])
         hits = buckets.get(tuple([x % d for x in u]))
         if hits:
             for low, nums in hits:
                 if all(x >= y for x, y in zip(u, low)):
                     total += _numerator(nums, alpha)
-    return _count(total, comp.denominator, alpha)
+    return _count(total, cf.denominator, alpha)
 
 
 def _count(numerator: int, denominator: int, alpha: Vec) -> int:
@@ -368,21 +363,21 @@ def eval_closed_box(cf: ClosedForm, lo: Vec, hi: Vec) -> dict[Vec, int]:
     s = len(cf.source[0])
     if len(lo) != s or len(hi) != s:
         raise ValueError(f"box corners {tuple(lo)} and {tuple(hi)} do not have dimension {s}")
-    comp = cf._compiled
+    _, pieces = cf._compiled
     acc: dict[Vec, int] = {}
     corners = list(product(*zip(lo, hi)))
-    for p, (d, adj, poly) in zip(cf.pieces, comp.pieces):
+    for basis, offset, d, adj, poly in pieces:
         bounds = []
         for row in adj:
-            nums = [dot(row, vsub(c, p.offset)) for c in corners]
+            nums = [dot(row, vsub(c, offset)) for c in corners]
             bounds.append((max(0, -(-min(nums) // d)), max(nums) // d))
         if any(l > h for l, h in bounds):
             continue
-        *outer, last = p.basis
+        *outer, last = basis
         mid = outer.pop() if outer else (0,) * s  # s == 1: m is 0 on a zero vector
         m_bounds = bounds[-2] if s > 1 else (0, 0)
         for head in product(*[range(l, h + 1) for l, h in bounds[:-2]]):
-            x = p.offset
+            x = offset
             for li, b in zip(head, outer):
                 x = vadd(x, scale(b, li))
             for m, ts in _clip(x, mid, last, lo, hi, m_bounds, bounds[-1]):
@@ -392,7 +387,7 @@ def eval_closed_box(cf: ClosedForm, lo: Vec, hi: Vec) -> dict[Vec, int]:
                     acc[alpha] = acc.get(alpha, 0) + _numerator(poly, alpha)
     out = {}
     for alpha, v in acc.items():
-        n = _count(v, comp.denominator, alpha)
+        n = _count(v, cf.denominator, alpha)
         if n:
             out[alpha] = n
     return out

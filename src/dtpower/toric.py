@@ -372,9 +372,11 @@ def choose_fold(X) -> tuple[list[int], Grouped]:
     candidate wins only with strictly fewer.  A candidate is abandoned once
     it has more terms than the best one of its step or the best complete
     fold so far, and every candidate once it has more than TERM_BUDGET terms.
-    Input order is folded last, capped at the best count, and kept when it
-    comes in at or below it: it wins ties, and the result never has more
-    terms than the input-order fold.
+    Input order is folded last, capped at twice the best count, and kept
+    when it ends at or below the best count: it wins ties.  A step's keys
+    include the zero coefficients of terms that cancel, so the result has
+    more terms than the input-order fold only if a step of that fold passes
+    twice the best count and the fold still ends below it.
     """
     budget = TERM_BUDGET
     n, s = len(X), len(X[0])
@@ -403,9 +405,8 @@ def choose_fold(X) -> tuple[list[int], Grouped]:
         if not rest and _size(acc) < best_count:
             best, best_count = (order, acc), _size(acc)
 
-    # a capped fold that completes has at most cap terms
-    acc = _fold(X, range(n), min(best_count, budget))
-    if acc is not None:
+    acc = _fold(X, range(n), min(2 * best_count, budget))
+    if acc is not None and _size(acc) <= best_count:
         return list(range(n)), acc
     if best is None:
         raise BudgetError(f"no fold the search tries stays within the budget of {budget:,} terms")

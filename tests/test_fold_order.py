@@ -46,6 +46,8 @@ def test_counts_do_not_depend_on_the_order(data):
 # input order ties with the greedy search here, with a different sum
 @example([(1, 0), (2, 2), (0, -1), (0, -1)])
 @example([(1, 2), (1, -2), (1, 1), (2, 2)])
+# terms cancel in the input order's last step: past 20 keys, 14 terms left
+@example([(-2, 0), (-2, -1), (1, 1), (0, 2)])
 def test_never_more_terms_than_input_order(X):
     chosen = toric_reduce(X).sum
     reference = input_order_fold(X)

@@ -33,6 +33,21 @@ def d59_reduced():
     return toric_reduce(D59)
 
 
+@lru_cache(maxsize=None)
+def d59_form():
+    return closed_form(D59, d59_reduced())
+
+
+@lru_cache(maxsize=None)
+def pinned_forms():
+    """(label, X, toric_reduce(X), closed_form(X)) for each pinned input."""
+    out = []
+    for label, X in pinned_inputs():
+        rf = toric_reduce(X)
+        out.append((label, X, rf, closed_form(X, rf)))
+    return out
+
+
 def poly_of(coeffs):
     return MultiPoly({e: Fraction(c) for e, c in coeffs.items()})
 
@@ -69,7 +84,7 @@ class TestInverseLaplaceTerm:
     def test_matches_inversion_term_by_term(self):
         # every term of the pinned inputs, and every 97th of D59's, against
         # the linear factors multiplied out for each term on its own
-        terms = [t for _, X in pinned_inputs() for t in toric_reduce(X).sum.terms]
+        terms = [t for _, _, rf, _ in pinned_forms() for t in rf.sum.terms]
         terms += d59_reduced().sum.terms[::97]
         for t in terms:
             assert inverse_laplace_term(t) == reference_inverse(t), t
@@ -182,8 +197,8 @@ class TestPinnedOutput:
         # inversion moved to int; any change to a piece or a coefficient shows
         want = dict(line.split() for line in CLOSED_FORMS.read_text().splitlines())
         got = {}
-        for label, X in pinned_inputs():
-            doc = json.dumps(closed_form_to_json(closed_form(X)), sort_keys=True)
+        for label, _, _, cf in pinned_forms():
+            doc = json.dumps(closed_form_to_json(cf), sort_keys=True)
             got[label] = hashlib.sha256(doc.encode()).hexdigest()
         assert len(want) == 100
         assert got == want
@@ -208,8 +223,7 @@ class TestGroupedInversion:
             doc = json.dumps(closed_form_to_json(closed_form(inputs[label])), sort_keys=True)
             assert hashlib.sha256(doc.encode()).hexdigest() == want[label], label
 
-    def test_one_fraction_per_distinct_coefficient(self, monkeypatch):
-        rf = toric_reduce(STRESS_B)
+    def test_closed_form_makes_no_fraction(self, monkeypatch):
         calls = []
         new = Fraction.__new__
 
@@ -217,19 +231,48 @@ class TestGroupedInversion:
             calls.append(args)
             return new(*args, **kwargs)
 
+        for X in (EX1, EX2, STRESS_B):
+            rf = toric_reduce(X)
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+            cf = closed_form(X, rf)
+            monkeypatch.undo()
+            assert calls == [], X
+            assert cf.denominator > 1 and len(cf.numerators) > 1
+        # the counter sees a Fraction once one is made
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
-        cf = closed_form(STRESS_B, rf)
+        assert cf.pieces
         monkeypatch.undo()
-        values = {c for p in cf.pieces for c in p.poly.monomials.values()}
-        monomials = sum(len(p.poly.monomials) for p in cf.pieces)
-        assert 0 < len(calls) <= len(values) < monomials
+        assert calls
 
     def test_matches_per_term_reference(self):
-        cases = [(X, toric_reduce(X)) for _, X in pinned_inputs()]
-        cases.append((D59, d59_reduced()))
-        for X, rf in cases:
-            want = merge_pieces(X, [inverse_laplace_term(t) for t in rf.sum.terms])
-            assert closed_form(X, rf) == want, X
+        for X, cf, want in per_term_cases():
+            assert cf == want, X
+
+    def test_canonical_whichever_way_built(self):
+        # closed_form, its JSON round trip and the per-term merge give ==
+        # forms over the same least denominator; the document is plain
+        # lists, strs and ints, so the round trip skips the text
+        integral = 0
+        for X, cf, merged in per_term_cases():
+            back = closed_form_from_json(closed_form_to_json(cf))
+            for other in (back, merged):
+                assert other == cf and other.denominator == cf.denominator, X
+            numerators = [n for _, _, poly in cf.numerators for n in poly.values()]
+            assert math.gcd(cf.denominator, *numerators) == 1, X
+            if all(n % cf.denominator == 0 for n in numerators):
+                assert cf.denominator == 1, X
+                integral += 1
+        assert integral > 0
+
+
+@lru_cache(maxsize=None)
+def per_term_cases():
+    """(X, closed_form(X), merge_pieces over inverse_laplace_term of its
+    terms) for the pinned inputs and D59."""
+    cases = [(X, rf, cf) for _, X, rf, cf in pinned_forms()]
+    cases.append((D59, d59_reduced(), d59_form()))
+    return [(X, cf, merge_pieces(X, [inverse_laplace_term(t) for t in rf.sum.terms]))
+            for X, rf, cf in cases]
 
 
 class TestEvalClosed:
@@ -485,24 +528,28 @@ class TestCompiledEvaluator:
 
     def test_compile_is_exact(self):
         # the pinned forms, D59's, and every corpus form read back from JSON
-        forms = [closed_form(X) for _, X in pinned_inputs()]
-        forms.append(closed_form(D59, d59_reduced()))
+        forms = [cf for _, _, _, cf in pinned_forms()]
+        forms.append(d59_form())
         forms += [closed_form_from_json(json.loads(json.dumps(closed_form_to_json(corpus_form(i)))))
                   for i in range(len(CORPUS))]
         for cf in forms:
-            comp = quasipoly._Compiled(cf.pieces)
-            L = comp.denominator
-            assert L == math.lcm(*(c.denominator for p in cf.pieces
-                                   for c in p.poly.monomials.values()))
-            assert len(comp.pieces) == len(cf.pieces)
-            for p, (d, adj, nums) in zip(cf.pieces, comp.pieces):
-                assert (d, adj) == det_adj(p.basis)
-                assert len(nums) == len(p.poly.monomials)
-                for (num, powers), (exps, c) in zip(nums, p.poly.monomials.items()):
-                    # Fraction(num, L) == c, without a Fraction per monomial
-                    assert num * c.denominator == c.numerator * L, (p, exps)
-                    assert all(e > 0 for _, e in powers)
-                    assert tuple(dict(powers).get(k, 0) for k in range(len(exps))) == exps
+            bases, pieces = quasipoly._compile(cf.numerators)
+            assert len(pieces) == len(cf.numerators)
+            want = {}  # basis -> (adj, d, buckets), in order of first sight
+            shapes = set()  # (exponents, powers) pairs
+            for (basis, offset, poly), (b, off, d, adj, nums) in zip(cf.numerators, pieces):
+                assert (b, off) == (basis, offset)
+                if basis not in want:
+                    want[basis] = (*det_adj(basis)[::-1], {})
+                assert (adj, d) == want[basis][:2]
+                assert [n for n, _ in nums] == list(poly.values()), (basis, offset)
+                shapes.update(zip(poly, [powers for _, powers in nums]))
+                low = tuple(sum(r * x for r, x in zip(row, offset)) for row in adj)
+                want[basis][2].setdefault(tuple(x % d for x in low), []).append((low, nums))
+            assert bases == list(want.values())
+            for exps, powers in shapes:
+                assert all(e > 0 for _, e in powers)
+                assert tuple(dict(powers).get(k, 0) for k in range(len(exps))) == exps
 
     @pytest.mark.parametrize("X", [EX2, STRESS_B])
     def test_compile_makes_no_fraction(self, X, monkeypatch):
@@ -518,7 +565,7 @@ class TestCompiledEvaluator:
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counted("__new__", Fraction.__new__)))
         for name in ("__mul__", "__rmul__"):
             monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
-        assert cf._compiled.pieces
+        assert cf._compiled[1]
         assert calls == []
         # the counters see a product once one is made
         assert Fraction(1, 2) * 3 == 3 * Fraction(1, 2)
@@ -529,8 +576,9 @@ def corrupted(cf, k, factor):
     """cf with the coefficients of piece k multiplied by factor."""
     pieces = list(cf.pieces)
     p = pieces[k]
-    pieces[k] = ConePiece(p.basis, p.offset, p.poly.scaled(factor))
-    return ClosedForm(cf.source, tuple(pieces))
+    pieces[k] = ConePiece(p.basis, p.offset,
+                          MultiPoly({e: c * factor for e, c in p.poly.monomials.items()}))
+    return ClosedForm.from_pieces(cf.source, pieces)
 
 
 class TestCorruptedForm:
