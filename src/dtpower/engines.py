@@ -14,12 +14,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from operator import add, mul, sub
+from operator import add, sub
 
 from .errors import BudgetError
 from .expalg import laplace_generating, spot_check
 from .linalg import (PointedCertificate, Vec, check_system, column_solver,
-                     dot, pointedness_certificate, rank)
+                     cone_count, dot, int_range, pointedness_certificate)
 from .quasipoly import closed_form, eval_closed_box
 from .toric import toric_reduce
 
@@ -85,12 +85,14 @@ def brute_force_box(X, lo: Vec, hi: Vec, certificate: PointedCertificate) -> dic
     def walk(i: int, point: Vec, used: int) -> None:
         nonlocal nodes
         if i == n - 1:
-            j, top = _clip_line(point, last, lo, hi, (cap - used) // w_last)
-            nodes += max(top - j + 1, 1)
+            rows = [r for p, c, l, h in zip(point, last, lo, hi)
+                    for r in ((c, h - p), (-c, p - l))]
+            js = int_range(rows, 0, (cap - used) // w_last)
+            nodes += max(len(js), 1)
             if nodes > budget:
                 raise _over_node_budget()
-            point = tuple(p + j * c for p, c in zip(point, last))
-            for _ in range(top - j + 1):
+            point = tuple(p + js.start * c for p, c in zip(point, last))
+            for _ in js:
                 counts[point] = counts.get(point, 0) + 1
                 point = tuple(map(add, point, last))
             return
@@ -110,22 +112,6 @@ def _over_node_budget() -> BudgetError:
     return BudgetError(f"the brute enumeration would pass its budget of {NODE_BUDGET:,} nodes")
 
 
-def _clip_line(point: Vec, a: Vec, lo: Vec, hi: Vec, top: int) -> tuple[int, int]:
-    """(first, last): the j in 0..top with lo <= point + j*a <= hi are
-    exactly first..last; first > last when there is none."""
-    first = 0
-    for p, c, l, h in zip(point, a, lo, hi):
-        if c > 0:
-            first = max(first, -((p - l) // c))
-            top = min(top, (h - p) // c)
-        elif c < 0:
-            first = max(first, -((h - p) // -c))
-            top = min(top, (p - l) // -c)
-        elif not l <= p <= h:
-            return 0, -1
-    return first, top
-
-
 def independent_count(A, alpha) -> int:
     """1 iff alpha is a nonnegative integer combination of the independent set A."""
     A = tuple(tuple(a) for a in A)
@@ -134,21 +120,7 @@ def independent_count(A, alpha) -> int:
         raise ValueError(f"dimension mismatch: {len(A[0])} vs {len(alpha)}")
     if not A:
         return int(not any(alpha))
-    return _solved_count(column_solver(A), alpha)
-
-
-def _solved_count(solved, alpha: Vec) -> int:
-    """independent_count of the columns that column_solver solved as `solved`."""
-    if solved is None:
-        return 0
-    d, adj, null = solved
-    if any(sum(map(mul, row, alpha)) for row in null):
-        return 0  # alpha is outside the span of A
-    for row in adj:
-        num = sum(map(mul, row, alpha))
-        if num < 0 or num % d:
-            return 0
-    return 1
+    return cone_count(column_solver(A), alpha)
 
 
 class DMContext:
@@ -179,7 +151,7 @@ class DMContext:
         self.weights = [dot(self.xs, a) for a in self.X]
         # longest prefix that is still linearly independent: recursion base
         k = 0
-        while k < len(self.X) and rank(self.X[:k + 1]) == k + 1:
+        while k < len(self.X) and column_solver(tuple(self.X[:k + 1])) is not None:
             k += 1
         self.base_len = k
         self._base = column_solver(tuple(self.X[:k]))
@@ -195,7 +167,7 @@ class DMContext:
     def _count(self, alpha: Vec, u: int, k: int) -> int:
         """t_k(alpha) for k >= base_len, given u = <xs, alpha> >= 0."""
         if k == self.base_len:
-            return _solved_count(self._base, alpha)
+            return cone_count(self._base, alpha)
         memo, budget = self.memo, MEMO_BUDGET
         a, w = self.X[k - 1], self.weights[k - 1]
         line = []

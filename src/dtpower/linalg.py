@@ -6,6 +6,13 @@ column_solver and integer_relation share one fraction-free elimination over
 int (_bareiss); solve_columns is the Fraction reference they are tested
 against.  pointedness_certificate eliminates over int rows too, each
 divided by its gcd, and makes Fractions only to back-substitute xi.
+
+Two more kernels are shared by the engines and the evaluators: cone_count,
+the one test of a point against the cone of columns that column_solver
+solved (independent_count, the recursion's base case and
+support_membership), and int_range, the one clip of an integer range by
+rows a * v <= r (the box walk's Fourier-Motzkin clip and the brute walk's
+line at the last vector).
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InvariantError
 
@@ -205,6 +213,33 @@ def column_solver(columns: tuple[Vec, ...]):
     sign = 1 if d > 0 else -1
     adj = tuple(tuple(sign * x for x in row[r:]) for row in rows[:r])
     return sign * d, adj, tuple(tuple(row[r:]) for row in rows[r:])
+
+
+def cone_count(solved, u: Vec) -> int:
+    """1 iff u is a nonnegative integer combination of the columns that
+    column_solver solved as `solved`, (d, adj, null); 0 for None."""
+    if solved is None:
+        return 0
+    d, adj, null = solved
+    if any(sum(map(mul, row, u)) for row in null):
+        return 0  # u is outside the span of the columns
+    for row in adj:
+        num = sum(map(mul, row, u))
+        if num < 0 or num % d:
+            return 0
+    return 1
+
+
+def int_range(rows, low: int, high: int) -> range:
+    """The integers v in [low, high] with a * v <= r for every (a, r) in rows."""
+    for a, r in rows:
+        if a > 0:
+            high = min(high, r // a)
+        elif a < 0:
+            low = max(low, -(r // -a))
+        elif r < 0:
+            return range(0)
+    return range(low, high + 1)
 
 
 @lru_cache(maxsize=4096)

@@ -32,16 +32,18 @@ read the int form too; pieces, the Fraction view, is built on its first
 access, for the tests and the benchmark.
 
 The evaluators do not test the pieces one by one.  On its first evaluation
-a ClosedForm compiles itself, once: the pieces are grouped by basis, with
-(d, adj) = det_adj(basis) once per basis, and each basis's pieces are
-bucketed by the residue adj.offset mod d.  alpha lies on a piece's cone iff
-adj.alpha = adj.offset mod d and adj.alpha >= adj.offset, so a point meets
-its pieces by one dict lookup per basis and a sign test per candidate.
+a ClosedForm compiles itself, once, into one layout that both evaluators
+read: one (basis, d, adj, buckets) entry per basis, with (d, adj) =
+det_adj(basis), whose buckets hold the basis's pieces by the residue
+adj.offset mod d, each as (adj.offset, offset, numerators).  alpha lies on
+a piece's cone iff adj.alpha = adj.offset mod d and adj.alpha >=
+adj.offset, so eval_closed meets its pieces by one dict lookup per basis
+and a sign test per candidate.  eval_closed_box walks each piece's cone
+lattice instead, from adj.corner computed once per basis and box, clipping
+the last two coordinates to the box (Fourier-Motzkin, then per point).
 The compile reads the int numerators as they are, so neither it nor the
 evaluators make a Fraction; the count is checked once, as a nonnegative
-multiple of the denominator.  eval_closed_box walks each piece's cone
-lattice instead, clipping its last two coordinates to the box
-(Fourier-Motzkin, then per point).
+multiple of the denominator.
 support_membership and MultiPoly.evaluate stay as the exact reference.
 """
 
@@ -56,7 +58,7 @@ from operator import add, mul
 
 from .errors import InvariantError
 from .expalg import ExpRatTerm
-from .linalg import Vec, det_adj, dot, scale, vadd, vsub
+from .linalg import Vec, cone_count, det_adj, dot, int_range, scale, vadd, vsub
 from .toric import ReducedForm, toric_reduce
 
 
@@ -123,7 +125,7 @@ class ClosedForm:
                      for basis, offset, poly in self.numerators)
 
     @cached_property
-    def _compiled(self) -> tuple[list, list]:
+    def _compiled(self) -> list:
         """Built on the first evaluation and kept on this instance only; a
         numerator changed in place after that is not seen."""
         return _compile(self.numerators)
@@ -142,33 +144,29 @@ def _canonical(source, L: int, acc: dict[tuple, dict[Vec, int]]) -> ClosedForm:
     return ClosedForm(tuple(tuple(a) for a in source), L // g, tuple(numerators))
 
 
-def _compile(numerators) -> tuple[list, list]:
-    """(bases, pieces): a form's int numerators arranged for evaluation.
-
-    bases holds (adj, d, buckets) once per basis, where buckets maps the
-    residue tuple(adj.offset mod d) to the (adj.offset, nums) of its
-    pieces.  pieces holds (basis, offset, d, adj, nums) in the form's piece
-    order, for the box walk.  nums are (n, ((k, power), ...)) per monomial,
-    with the nonzero powers only; each distinct exponent tuple's powers are
-    built once and shared.
+def _compile(numerators) -> list:
+    """A form's int numerators arranged for evaluation: (basis, d, adj,
+    buckets) once per basis, in order of first sight, with (d, adj) =
+    det_adj(basis).  buckets maps the residue tuple(adj.offset mod d) to the
+    (adj.offset, offset, nums) of its pieces, in form order.  nums are
+    (n, ((k, power), ...)) per monomial, with the nonzero powers only; each
+    distinct exponent tuple's powers are built once and shared.
     """
     powers: dict[Vec, tuple] = {}
-    solvers, pieces = {}, []
+    bases: dict[tuple, tuple] = {}
     for basis, offset, poly in numerators:
-        if basis not in solvers:
-            solvers[basis] = _solver(basis) + ({},)
-        d, adj, buckets = solvers[basis]
+        if basis not in bases:
+            bases[basis] = (basis, *_solver(basis), {})
+        _, d, adj, buckets = bases[basis]
         nums = []
         for exps, n in poly.items():
             ks = powers.get(exps)
             if ks is None:
                 ks = powers[exps] = tuple((k, e) for k, e in enumerate(exps) if e)
             nums.append((n, ks))
-        nums = tuple(nums)
         low = tuple([sum(map(mul, row, offset)) for row in adj])
-        buckets.setdefault(tuple([x % d for x in low]), []).append((low, nums))
-        pieces.append((basis, offset, d, adj, nums))
-    return [(adj, d, buckets) for d, adj, buckets in solvers.values()], pieces
+        buckets.setdefault(tuple([x % d for x in low]), []).append((low, offset, tuple(nums)))
+    return list(bases.values())
 
 
 def _numerator(nums, alpha) -> int:
@@ -192,12 +190,9 @@ def _solver(basis) -> tuple[int, tuple[Vec, ...]]:
 def support_membership(basis, offset: Vec, alpha: Vec) -> bool:
     """True iff alpha lies on offset + N*basis[0] + ... + N*basis[s-1]."""
     d, adj = _solver(basis)
-    u = vsub(tuple(alpha), tuple(offset))
-    for row in adj:
-        num = dot(row, u)
-        if num < 0 or num % d != 0:
-            return False
-    return True
+    if len(alpha) != len(adj) or len(offset) != len(adj):
+        raise ValueError(f"point and offset must have the basis's dimension {len(adj)}")
+    return bool(cone_count((d, adj, ()), vsub(tuple(alpha), tuple(offset))))
 
 
 def inverse_laplace_term(term: ExpRatTerm) -> ConePiece:
@@ -326,13 +321,12 @@ def eval_closed(cf: ClosedForm, alpha) -> int:
     alpha = tuple(alpha)
     if len(alpha) != len(cf.source[0]):
         raise ValueError(f"point {alpha} does not have dimension {len(cf.source[0])}")
-    bases, _ = cf._compiled
     total = 0
-    for adj, d, buckets in bases:
+    for _, d, adj, buckets in cf._compiled:
         u = tuple([sum(r * x for r, x in zip(row, alpha)) for row in adj])
         hits = buckets.get(tuple([x % d for x in u]))
         if hits:
-            for low, nums in hits:
+            for low, _, nums in hits:
                 if all(x >= y for x, y in zip(u, low)):
                     total += _numerator(nums, alpha)
     return _count(total, cf.denominator, alpha)
@@ -351,40 +345,47 @@ def eval_closed_box(cf: ClosedForm, lo: Vec, hi: Vec) -> dict[Vec, int]:
     """Counts for every lattice point of the box, walking each piece's own
     support lattice instead of testing membership pointwise.
 
-    A cone coordinate lambda_i = adj_i.(alpha - offset) / d is linear in
-    alpha, so over the box it lies between its values at the corners.
-    lambda_1 .. lambda_{s-2} run over those ranges.  For each of their points
-    x, the box bounds (m, t) = (lambda_{s-1}, lambda_s) by the rows
-    lo_k <= x_k + m * b_k + t * c_k <= hi_k, with b and c the last two basis
-    vectors.  Eliminating t from the rows (Fourier-Motzkin) clips m, and for
-    each m the rows clip t, so the walk skips every m whose line misses the
-    box and meets only lattice points in the box.
+    A cone coordinate lambda_i = (adj_i.alpha - adj_i.offset) / d is linear
+    in alpha, so over the box it lies between its values at the corners.
+    The corner images adj.corner are computed once per basis, and a piece
+    with low = adj.offset bounds lambda_i by
+    ceil((min_i - low_i) / d) .. floor((max_i - low_i) / d), min_i and max_i
+    taken over the corners.  lambda_1 .. lambda_{s-2} run over those ranges.
+    For each of their points x, the box bounds (m, t) = (lambda_{s-1},
+    lambda_s) by the rows lo_k <= x_k + m * b_k + t * c_k <= hi_k, with b and
+    c the last two basis vectors.  Eliminating t from the rows
+    (Fourier-Motzkin) clips m, and for each m the rows clip t, so the walk
+    skips every m whose line misses the box and meets only lattice points in
+    the box.
     """
     s = len(cf.source[0])
     if len(lo) != s or len(hi) != s:
         raise ValueError(f"box corners {tuple(lo)} and {tuple(hi)} do not have dimension {s}")
-    _, pieces = cf._compiled
     acc: dict[Vec, int] = {}
     corners = list(product(*zip(lo, hi)))
-    for basis, offset, d, adj, poly in pieces:
-        bounds = []
+    for basis, d, adj, buckets in cf._compiled:
+        spans = []  # (min, max) of adj_i.corner over the corners, per row
         for row in adj:
-            nums = [dot(row, vsub(c, offset)) for c in corners]
-            bounds.append((max(0, -(-min(nums) // d)), max(nums) // d))
-        if any(l > h for l, h in bounds):
-            continue
+            images = [sum(map(mul, row, c)) for c in corners]
+            spans.append((min(images), max(images)))
         *outer, last = basis
         mid = outer.pop() if outer else (0,) * s  # s == 1: m is 0 on a zero vector
-        m_bounds = bounds[-2] if s > 1 else (0, 0)
-        for head in product(*[range(l, h + 1) for l, h in bounds[:-2]]):
-            x = offset
-            for li, b in zip(head, outer):
-                x = vadd(x, scale(b, li))
-            for m, ts in _clip(x, mid, last, lo, hi, m_bounds, bounds[-1]):
-                y = vadd(x, scale(mid, m))
-                for t in ts:
-                    alpha = vadd(y, scale(last, t))
-                    acc[alpha] = acc.get(alpha, 0) + _numerator(poly, alpha)
+        for pieces in buckets.values():
+            for low, offset, poly in pieces:
+                bounds = [(max(0, -((l - mn) // d)), (mx - l) // d)
+                          for l, (mn, mx) in zip(low, spans)]
+                if any(l > h for l, h in bounds):
+                    continue
+                m_bounds = bounds[-2] if s > 1 else (0, 0)
+                for head in product(*[range(l, h + 1) for l, h in bounds[:-2]]):
+                    x = offset
+                    for li, b in zip(head, outer):
+                        x = vadd(x, scale(b, li))
+                    for m, ts in _clip(x, mid, last, lo, hi, m_bounds, bounds[-1]):
+                        y = vadd(x, scale(mid, m))
+                        for t in ts:
+                            alpha = vadd(y, scale(last, t))
+                            acc[alpha] = acc.get(alpha, 0) + _numerator(poly, alpha)
     out = {}
     for alpha, v in acc.items():
         n = _count(v, cf.denominator, alpha)
@@ -409,17 +410,6 @@ def _clip(x: Vec, b: Vec, c: Vec, lo: Vec, hi: Vec, m_bounds, t_bounds):
                for am, at, r in rows if at > 0
                for am2, at2, r2 in rows if at2 < 0]
     t_rows = [(at, r, am) for am, at, r in rows if at]
-    for m in _range(m_rows, *m_bounds):
-        yield m, _range([(at, r - am * m) for at, r, am in t_rows], t_lo, t_hi)
+    for m in int_range(m_rows, *m_bounds):
+        yield m, int_range([(at, r - am * m) for at, r, am in t_rows], t_lo, t_hi)
 
-
-def _range(rows, low: int, high: int) -> range:
-    """The integers v in [low, high] with a * v <= r for every (a, r) in rows."""
-    for a, r in rows:
-        if a > 0:
-            high = min(high, r // a)
-        elif a < 0:
-            low = max(low, -(r // -a))
-        elif r < 0:
-            return range(0)
-    return range(low, high + 1)

@@ -24,7 +24,8 @@ the unit term, and unpacked once, in _to_sum or in ReducedForm.numerators;
 absorb_vector adds its term's shift after unpacking.
 
 The reduction is order-dependent and non-unique; correctness is semantic
-(formal-identity preservation, spot-checked numerically with check=True).
+(formal-identity preservation, which the tests spot-check numerically at
+every prefix of the fold).
 The number of terms depends on the fold order by orders of magnitude, so
 toric_reduce chooses its order by a bounded greedy search (choose_fold),
 within a term budget.
@@ -49,8 +50,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .errors import BudgetError, InvariantError
-from .expalg import (DenomFactor, ExpMonomial, ExpRatSum, ExpRatTerm,
-                     laplace_generating, spot_check)
+from .expalg import DenomFactor, ExpMonomial, ExpRatSum, ExpRatTerm
 from .linalg import (IntegerRelation, Vec, check_system, det_adj,
                      integer_relation, is_zero, rank, scale, vadd)
 
@@ -276,28 +276,19 @@ def absorb_vector(term: ExpRatTerm, a: Vec) -> list[ExpRatTerm]:
             for t in folded.terms]
 
 
-def toric_reduce(X, check: bool = False, seed: int = 0) -> ReducedForm:
+def toric_reduce(X) -> ReducedForm:
     """Fold fold_step over X, starting from the unit term, in the fold
     order chosen by choose_fold within the term budget.
 
     X must pass linalg.check_system.  BudgetError when no fold the search
-    tries fits TERM_BUDGET.  With check=True every absorption step
-    of the chosen fold is verified numerically against the partial product
-    at seeded generic points.  The result always passes the structural
+    tries fits TERM_BUDGET.  The result always passes the structural
     invariant checks of assert_reduced_invariants; its source is X in the
     caller's order.
     """
     X = [tuple(a) for a in X]
     check_system(X)
-
-    s = len(X[0])
-    order, grouped = choose_fold(X)
+    _, grouped = choose_fold(X)
     rf = ReducedForm(tuple(X), grouped)
-    if check:  # each step of the order; the last one is the sum returned
-        for k in range(1, len(X) + 1):
-            part = rf.sum if k == len(X) else _to_sum(_fold(X, order[:k]), s)
-            spot_check(part, laplace_generating([X[i] for i in order[:k]]), X, seed)
-
     assert_reduced_invariants(rf)
     return rf
 

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from dtpower import toric
+from dtpower.expalg import laplace_generating, spot_check
 from dtpower.linalg import det_adj, pointedness_certificate, rank
 
 EX1 = ((1,), (1,), (2,))
@@ -40,6 +42,19 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance summary")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def reduce_checked(X):
+    """toric_reduce(X), with every prefix of its fold order, the whole
+    order last, spot-checked against the partial product at the seeded
+    generic points of expalg.spot_check."""
+    rf = toric.toric_reduce(X)
+    X, s = rf.source, len(rf.source[0])
+    order, _ = toric.choose_fold(X)
+    for k in range(1, len(X) + 1):
+        part = rf.sum if k == len(X) else toric._to_sum(toric._fold(X, order[:k]), s)
+        spot_check(part, laplace_generating([X[i] for i in order[:k]]), X, 0)
+    return rf
 
 
 def max_subset_det(X, s):

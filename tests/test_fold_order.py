@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import D59, EX1, EX2, STRESS_A, STRESS_B, pointed_systems
+from conftest import (D59, EX1, EX2, STRESS_A, STRESS_B, pointed_systems,
+                      reduce_checked)
 from dtpower import toric
 from dtpower.engines import DMContext, box_points
 from dtpower.errors import BudgetError, InvariantError
@@ -59,7 +60,7 @@ def test_never_more_terms_than_input_order(X):
 def test_stress_a_reduces_to_156_terms_in_any_order():
     for perm in ((0, 1, 2, 3), (1, 3, 2, 0)):
         X = [STRESS_A[i] for i in perm]
-        rf = toric_reduce(X, check=True)
+        rf = reduce_checked(X)
         assert len(rf.sum.terms) == 156
         assert rf.source == tuple(X)
 

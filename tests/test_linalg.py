@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import D59, pinned_inputs
 from dtpower.linalg import (IntegerRelation, column_solver, det_adj, dot,
-                            integer_relation, orth_complement,
+                            int_range, integer_relation, orth_complement,
                             pointedness_certificate, rank, solve_columns,
                             solve_square)
 
@@ -143,6 +143,15 @@ class TestColumnSolver:
     def test_square_case_is_det_adj(self):
         basis = ((2, 1), (1, 3))
         assert column_solver(basis) == det_adj(basis) + ((),)
+
+
+class TestIntRange:
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-20, 20)), max_size=6),
+           st.integers(-10, 10), st.integers(-10, 10))
+    def test_range_solves_its_rows(self, rows, low, high):
+        want = [v for v in range(low, high + 1) if all(a * v <= r for a, r in rows)]
+        assert list(int_range(rows, low, high)) == want
 
 
 class TestOrthComplement:

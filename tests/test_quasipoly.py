@@ -21,7 +21,7 @@ from dtpower.linalg import det_adj, pointedness_certificate, rank
 from dtpower.quasipoly import (ClosedForm, ConePiece, MultiPoly, closed_form,
                                eval_closed, eval_closed_box,
                                inverse_laplace_term, merge_pieces,
-                               support_membership, _clip, _range)
+                               support_membership, _clip)
 from dtpower.toric import toric_reduce
 
 
@@ -139,6 +139,10 @@ class TestSupportMembership:
         basis = [(1, 0), (-1, 2)]
         assert not support_membership(basis, (0, 0), (0, 1))
         assert support_membership(basis, (0, 0), (0, 2))
+
+    def test_singular_basis_rejected(self):
+        with pytest.raises(ValueError, match="singular"):
+            support_membership([(1, 2), (2, 4)], (0, 0), (3, 6))
 
 
 class TestClosedForm:
@@ -380,13 +384,6 @@ class TestBoxWalk:
             eval_closed_box(cf, lo, hi)
 
     @settings(max_examples=300)
-    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-20, 20)), max_size=6),
-           st.integers(-10, 10), st.integers(-10, 10))
-    def test_range_solves_its_rows(self, rows, low, high):
-        want = [v for v in range(low, high + 1) if all(a * v <= r for a, r in rows)]
-        assert list(_range(rows, low, high)) == want
-
-    @settings(max_examples=300)
     @given(st.integers(1, 3).flatmap(lambda s: st.tuples(
         *[st.tuples(*[st.integers(-4, 4)] * s)] * 5, st.tuples(*[st.integers(-3, 6)] * 4))))
     def test_clip_meets_exactly_the_lines_that_cross_the_box(self, case):
@@ -526,6 +523,13 @@ class TestCompiledEvaluator:
         with pytest.raises(ValueError, match="dimension 2"):
             eval_closed(closed_form(EX2), (0, 2, 0))
 
+    @pytest.mark.parametrize("lo,hi", [((0, 0), (6, 6)), ((500, 900), (505, 905))])
+    def test_box_walk_matches_points_on_d59(self, lo, hi):
+        # bases up to |det| 59, where one residue bucket holds hundreds of pieces
+        cf = d59_form()
+        want = {a: n for a in box_points(lo, hi) if (n := eval_closed(cf, a))}
+        assert eval_closed_box(cf, lo, hi) == want
+
     def test_compile_is_exact(self):
         # the pinned forms, D59's, and every corpus form read back from JSON
         forms = [cf for _, _, _, cf in pinned_forms()]
@@ -533,21 +537,27 @@ class TestCompiledEvaluator:
         forms += [closed_form_from_json(json.loads(json.dumps(closed_form_to_json(corpus_form(i)))))
                   for i in range(len(CORPUS))]
         for cf in forms:
-            bases, pieces = quasipoly._compile(cf.numerators)
-            assert len(pieces) == len(cf.numerators)
-            want = {}  # basis -> (adj, d, buckets), in order of first sight
-            shapes = set()  # (exponents, powers) pairs
-            for (basis, offset, poly), (b, off, d, adj, nums) in zip(cf.numerators, pieces):
-                assert (b, off) == (basis, offset)
-                if basis not in want:
-                    want[basis] = (*det_adj(basis)[::-1], {})
-                assert (adj, d) == want[basis][:2]
-                assert [n for n, _ in nums] == list(poly.values()), (basis, offset)
-                shapes.update(zip(poly, [powers for _, powers in nums]))
-                low = tuple(sum(r * x for r, x in zip(row, offset)) for row in adj)
-                want[basis][2].setdefault(tuple(x % d for x in low), []).append((low, nums))
-            assert bases == list(want.values())
-            for exps, powers in shapes:
+            compiled = quasipoly._compile(cf.numerators)
+            polys = {(basis, offset): poly for basis, offset, poly in cf.numerators}
+            # each basis once, in order of first sight, with det_adj's (d, adj)
+            assert [b for b, _, _, _ in compiled] == list(dict.fromkeys(b for b, _ in polys))
+            seen, shared = set(), {}
+            for basis, d, adj, buckets in compiled:
+                assert (d, adj) == det_adj(basis)
+                for key, entries in buckets.items():
+                    for low, offset, nums in entries:
+                        # each piece once, keyed by adj.offset mod d, with its own offset
+                        assert low == tuple(sum(r * x for r, x in zip(row, offset)) for row in adj)
+                        assert key == tuple(x % d for x in low)
+                        assert (basis, offset) not in seen
+                        seen.add((basis, offset))
+                        poly = polys[(basis, offset)]
+                        assert [n for n, _ in nums] == list(poly.values()), (basis, offset)
+                        # each distinct exponent tuple's powers are built once and shared
+                        for exps, (_, powers) in zip(poly, nums):
+                            assert shared.setdefault(exps, powers) is powers
+            assert seen == set(polys)
+            for exps, powers in shared.items():
                 assert all(e > 0 for _, e in powers)
                 assert tuple(dict(powers).get(k, 0) for k in range(len(exps))) == exps
 
@@ -565,7 +575,7 @@ class TestCompiledEvaluator:
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counted("__new__", Fraction.__new__)))
         for name in ("__mul__", "__rmul__"):
             monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
-        assert cf._compiled[1]
+        assert cf._compiled
         assert calls == []
         # the counters see a product once one is made
         assert Fraction(1, 2) * 3 == 3 * Fraction(1, 2)

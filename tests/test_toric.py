@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EX1, EX2, pinned_inputs, random_pointed_systems
+from conftest import EX1, EX2, pinned_inputs, random_pointed_systems, reduce_checked
 from dtpower import expalg, toric
 from dtpower.cli import closed_form_to_json
 from dtpower.expalg import (DenomFactor, ExpRatSum, add, eval_numeric,
@@ -197,7 +197,7 @@ class TestPackedShifts:
         assert repr(toric_reduce([(2000,), (1,)]).sum) == repr(want)
         # 2*(E,1) - (E,2) = (E,0) puts e^{-<(E,1),x>} in a gamma
         e = toric.ENTRY_LIMIT
-        reduced = toric_reduce([(e, 1), (e, 2), (e, 0)], check=True).sum
+        reduced = reduce_checked([(e, 1), (e, 2), (e, 0)]).sum
         assert max(abs(c) for t in reduced.terms for c in t.num.shift) == e
 
     def test_guards_raise_also_under_python_O(self):
@@ -304,7 +304,7 @@ class TestAbsorbVector:
 
 class TestToricReduce:
     def test_scalar_example_exact_terms(self):
-        rf = toric_reduce([(1,), (1,), (2,)], check=True)
+        rf = reduce_checked([(1,), (1,), (2,)])
         got = [(t.num.coeff, t.num.shift, t.denom) for t in rf.sum.terms]
         d = (DenomFactor((2,), 3),)
         assert got == [(1, (-2,), d), (2, (-1,), d), (1, (0,), d)]
@@ -317,7 +317,7 @@ class TestToricReduce:
 
     def test_planar_example_matches_reference_expression(self):
         X = [(1, 0), (0, 1), (-1, 2)]
-        rf = toric_reduce(X, check=True)
+        rf = reduce_checked(X)
         # (1+e^{-y})/((1-e^{-x})^2 (1-e^{-(-x+2y)})) - e^{-x}/((1-e^{-x})^2 (1-e^{-y}))
         ref = make_sum([
             make_term(1, (0, 0), [DenomFactor((1, 0), 2), DenomFactor((-1, 2), 1)]),
