@@ -206,7 +206,8 @@ def cross_check(X, lo: Vec, hi: Vec, seed: int = 0) -> CountReport:
     """Run all three engines on every lattice point of the box.
 
     Also spot-checks the reduced generating function against the original
-    product at five seeded generic points before counting; the closed form
+    product at five seeded generic points before counting, grouped by
+    denominator and from the certificate of check_system; the closed form
     is built from that same reduction.
     """
     X = [tuple(a) for a in X]
@@ -214,7 +215,7 @@ def cross_check(X, lo: Vec, hi: Vec, seed: int = 0) -> CountReport:
     cert = check_system(X)
 
     rf = toric_reduce(X)
-    spot_check(rf.sum, laplace_generating(X), X, seed)
+    spot_check(list(rf.numerators()), laplace_generating(X), X, seed, cert)
 
     report = CountReport(box=(lo, hi))
     points = list(box_points(lo, hi))

@@ -127,16 +127,31 @@ def geometric_factor(a: Vec, m: int) -> ExpRatSum:
 
 
 def eval_numeric(expr, x) -> float:
-    """Floating evaluation at the real point x; raises SingularPoint when a
-    denominator pairing vanishes within tolerance."""
+    """Floating evaluation at the real point x of a term, an ExpRatSum or a
+    grouped sum; raises SingularPoint when a denominator pairing vanishes
+    within tolerance.
+
+    A grouped sum is a list of (denominator, [(shift, coeff), ...]) pairs,
+    each denominator a tuple of (vector, power) pairs, as
+    toric.ReducedForm.numerators yields them.  Each denominator's product is
+    evaluated once and divides the sum of its numerators q * e^{<c,x>}.
+    """
     if isinstance(expr, ExpRatSum):
         return sum(eval_numeric(t, x) for t in expr.terms)
-    val = float(expr.num.coeff) * math.exp(dot_f(expr.num.shift, x))
-    for f in expr.denom:
-        p = dot_f(f.vector, x)
+    if isinstance(expr, ExpRatTerm):
+        return _divided(float(expr.num.coeff) * math.exp(dot_f(expr.num.shift, x)),
+                        [(f.vector, f.power) for f in expr.denom], x)
+    return sum(_divided(sum(q * math.exp(dot_f(c, x)) for c, q in num), denom, x)
+               for denom, num in expr)
+
+
+def _divided(val: float, denom, x) -> float:
+    """val / prod (1 - e^{-<v,x>})^h over the (v, h) of denom."""
+    for v, h in denom:
+        p = dot_f(v, x)
         if abs(p) < SINGULAR_TOL:
-            raise SingularPoint(f"pairing with {f.vector} vanishes at {x}")
-        val /= (1.0 - math.exp(-p)) ** f.power
+            raise SingularPoint(f"pairing with {v} vanishes at {x}")
+        val /= (1.0 - math.exp(-p)) ** h
     return val
 
 
@@ -150,14 +165,13 @@ def random_generic_point(vectors, seed) -> tuple[float, ...]:
     Built from the pointedness certificate plus a small seeded perturbation;
     pairings are kept inside [0.1, 5] for comfortable float evaluation.
     """
-    return _generic_points(vectors, [seed])[0]
+    return _generic_points(vectors, [seed], pointedness_certificate(vectors))[0]
 
 
-def _generic_points(vectors, seeds) -> list[tuple[float, ...]]:
-    """random_generic_point(vectors, seed) for each seed, from one
-    pointedness certificate."""
+def _generic_points(vectors, seeds, cert) -> list[tuple[float, ...]]:
+    """random_generic_point(vectors, seed) for each seed, from the
+    pointedness certificate cert of vectors (None: they are not pointed)."""
     vectors = [tuple(v) for v in vectors]
-    cert = pointedness_certificate(vectors)
     if cert is None:
         raise ValueError("system is not pointed; no generic point available")
     xi = [float(c) for c in cert.xi]
@@ -186,10 +200,15 @@ def _generic_points(vectors, seeds) -> list[tuple[float, ...]]:
     return points
 
 
-def spot_check(got: ExpRatSum, want: ExpRatSum, X, seed: int = 0) -> None:
+def spot_check(got, want, X, seed: int = 0, cert=None) -> None:
     """Raise InvariantError unless got and want agree, to relative
-    IDENTITY_RTOL, at the five points random_generic_point(X, seed + k)."""
-    for x in _generic_points(X, range(seed, seed + 5)):
+    IDENTITY_RTOL, at the five points random_generic_point(X, seed + k).
+    Each is a term, an ExpRatSum or a grouped sum (see eval_numeric).  A
+    caller that holds X's pointedness certificate passes it, and it is not
+    computed again."""
+    if cert is None:
+        cert = pointedness_certificate(X)
+    for x in _generic_points(X, range(seed, seed + 5), cert):
         g, w = eval_numeric(got, x), eval_numeric(want, x)
         if abs(g - w) > IDENTITY_RTOL * (1 + abs(w)):
             raise InvariantError(f"generating-function identity fails at {x}: {g} vs {w}")

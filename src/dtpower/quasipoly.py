@@ -33,17 +33,23 @@ access, for the tests and the benchmark.
 
 The evaluators do not test the pieces one by one.  On its first evaluation
 a ClosedForm compiles itself, once, into one layout that both evaluators
-read: one (basis, d, adj, buckets) entry per basis, with (d, adj) =
-det_adj(basis), whose buckets hold the basis's pieces by the residue
-adj.offset mod d, each as (adj.offset, offset, numerators).  alpha lies on
-a piece's cone iff adj.alpha = adj.offset mod d and adj.alpha >=
-adj.offset, so eval_closed meets its pieces by one dict lookup per basis
-and a sign test per candidate.  eval_closed_box walks each piece's cone
+read, (exps, bases).  exps is the sorted list of the form's distinct
+exponent tuples, a handful: at most 6 on the seeded corpus, every order of
+the two stress systems and D59.  bases holds one (basis, d, adj, buckets)
+entry per basis, with (d, adj) = det_adj(basis), whose buckets hold the
+basis's pieces by the residue adj.offset mod d, each as (adj.offset,
+offset, coeffs): coeffs is the piece's int numerators as a dense tuple over
+exps.  alpha lies on a
+piece's cone iff adj.alpha = adj.offset mod d and adj.alpha >= adj.offset,
+so eval_closed meets its pieces by one dict lookup per basis and a sign
+test per candidate, builds alpha's monomials over exps once, and adds one
+dot product per active piece.  eval_closed_box walks each piece's cone
 lattice instead, from adj.corner computed once per basis and box, clipping
-the last two coordinates to the box (Fourier-Motzkin, then per point).
-The compile reads the int numerators as they are, so neither it nor the
-evaluators make a Fraction; the count is checked once, as a nonnegative
-multiple of the denominator.
+the last two coordinates to the box (Fourier-Motzkin, then per point); it
+sums the coeffs of the pieces that reach each box point and takes one dot
+product per point.  The compile reads the int numerators as they are, so
+neither it nor the evaluators make a Fraction; the count is checked once
+per point, as a nonnegative multiple of the denominator.
 support_membership and MultiPoly.evaluate stay as the exact reference.
 """
 
@@ -53,8 +59,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import factorial, gcd, lcm
-from operator import add, mul
+from math import factorial, gcd, lcm, prod
+from operator import add, ge, mul
 
 from .errors import InvariantError
 from .expalg import ExpRatTerm
@@ -125,9 +131,10 @@ class ClosedForm:
                      for basis, offset, poly in self.numerators)
 
     @cached_property
-    def _compiled(self) -> list:
-        """Built on the first evaluation and kept on this instance only; a
-        numerator changed in place after that is not seen."""
+    def _compiled(self) -> tuple[list[Vec], list]:
+        """_compile's (exps, bases), built on the first evaluation and kept
+        on this instance only; a numerator changed in place after that is
+        not seen."""
         return _compile(self.numerators)
 
 
@@ -144,39 +151,32 @@ def _canonical(source, L: int, acc: dict[tuple, dict[Vec, int]]) -> ClosedForm:
     return ClosedForm(tuple(tuple(a) for a in source), L // g, tuple(numerators))
 
 
-def _compile(numerators) -> list:
-    """A form's int numerators arranged for evaluation: (basis, d, adj,
-    buckets) once per basis, in order of first sight, with (d, adj) =
-    det_adj(basis).  buckets maps the residue tuple(adj.offset mod d) to the
-    (adj.offset, offset, nums) of its pieces, in form order.  nums are
-    (n, ((k, power), ...)) per monomial, with the nonzero powers only; each
-    distinct exponent tuple's powers are built once and shared.
+def _compile(numerators) -> tuple[list[Vec], list]:
+    """A form's int numerators arranged for evaluation: (exps, bases).  exps
+    is the sorted list of the form's distinct exponent tuples.  bases holds
+    (basis, d, adj, buckets) once per basis, in order of first sight, with
+    (d, adj) = det_adj(basis); buckets maps the residue tuple(adj.offset mod
+    d) to the (adj.offset, offset, coeffs) of its pieces, in form order, with
+    coeffs the piece's numerators as a dense tuple over exps, 0 where the
+    piece has no such monomial.
     """
-    powers: dict[Vec, tuple] = {}
+    exps = sorted(set().union(*[poly for _, _, poly in numerators]))
+    zeros = [0] * len(exps)
     bases: dict[tuple, tuple] = {}
     for basis, offset, poly in numerators:
         if basis not in bases:
             bases[basis] = (basis, *_solver(basis), {})
         _, d, adj, buckets = bases[basis]
-        nums = []
-        for exps, n in poly.items():
-            ks = powers.get(exps)
-            if ks is None:
-                ks = powers[exps] = tuple((k, e) for k, e in enumerate(exps) if e)
-            nums.append((n, ks))
         low = tuple([sum(map(mul, row, offset)) for row in adj])
-        buckets.setdefault(tuple([x % d for x in low]), []).append((low, offset, tuple(nums)))
-    return list(bases.values())
+        coeffs = tuple(map(poly.get, exps, zeros))
+        buckets.setdefault(tuple([x % d for x in low]), []).append((low, offset, coeffs))
+    return exps, list(bases.values())
 
 
-def _numerator(nums, alpha) -> int:
-    """The form's denominator times a compiled polynomial's value at alpha."""
-    total = 0
-    for v, powers in nums:
-        for k, e in powers:
-            v *= alpha[k] ** e
-        total += v
-    return total
+def _monomials(exps, alpha) -> list[int]:
+    """alpha^e for each exponent tuple e of exps: the vector a piece's
+    coeffs are dotted with."""
+    return [prod(map(pow, alpha, e)) for e in exps]
 
 
 def _solver(basis) -> tuple[int, tuple[Vec, ...]]:
@@ -315,20 +315,26 @@ merge_pieces = ClosedForm.from_pieces
 def eval_closed(cf: ClosedForm, alpha) -> int:
     """Exact count at one lattice point; always a nonnegative integer.
 
-    Per basis: adj.alpha, one bucket lookup on its residue mod d, and a sign
-    test adj.alpha >= adj.offset for each piece of the bucket.
+    Per basis: u = adj.alpha, one bucket lookup on its residue mod d, and a
+    sign test u >= adj.offset for each piece of the bucket.  alpha's
+    monomials over the form's exponent tuples are built once, at the first
+    active piece, and each active piece adds the dot product of its coeffs
+    with them.
     """
     alpha = tuple(alpha)
     if len(alpha) != len(cf.source[0]):
         raise ValueError(f"point {alpha} does not have dimension {len(cf.source[0])}")
-    total = 0
-    for _, d, adj, buckets in cf._compiled:
-        u = tuple([sum(r * x for r, x in zip(row, alpha)) for row in adj])
+    exps, bases = cf._compiled
+    total, m = 0, None
+    for _, d, adj, buckets in bases:
+        u = [sum(map(mul, row, alpha)) for row in adj]
         hits = buckets.get(tuple([x % d for x in u]))
         if hits:
-            for low, _, nums in hits:
-                if all(x >= y for x, y in zip(u, low)):
-                    total += _numerator(nums, alpha)
+            for low, _, coeffs in hits:
+                if all(map(ge, u, low)):
+                    if m is None:
+                        m = _monomials(exps, alpha)
+                    total += sum(map(mul, coeffs, m))
     return _count(total, cf.denominator, alpha)
 
 
@@ -356,14 +362,17 @@ def eval_closed_box(cf: ClosedForm, lo: Vec, hi: Vec) -> dict[Vec, int]:
     c the last two basis vectors.  Eliminating t from the rows
     (Fourier-Motzkin) clips m, and for each m the rows clip t, so the walk
     skips every m whose line misses the box and meets only lattice points in
-    the box.
+    the box.  Each point keeps the sum of the coeffs of the pieces that
+    reach it, and its count is one dot product of that sum with its
+    monomials.
     """
     s = len(cf.source[0])
     if len(lo) != s or len(hi) != s:
         raise ValueError(f"box corners {tuple(lo)} and {tuple(hi)} do not have dimension {s}")
-    acc: dict[Vec, int] = {}
+    exps, bases = cf._compiled
+    acc: dict[Vec, tuple[int, ...]] = {}
     corners = list(product(*zip(lo, hi)))
-    for basis, d, adj, buckets in cf._compiled:
+    for basis, d, adj, buckets in bases:
         spans = []  # (min, max) of adj_i.corner over the corners, per row
         for row in adj:
             images = [sum(map(mul, row, c)) for c in corners]
@@ -371,7 +380,7 @@ def eval_closed_box(cf: ClosedForm, lo: Vec, hi: Vec) -> dict[Vec, int]:
         *outer, last = basis
         mid = outer.pop() if outer else (0,) * s  # s == 1: m is 0 on a zero vector
         for pieces in buckets.values():
-            for low, offset, poly in pieces:
+            for low, offset, coeffs in pieces:
                 bounds = [(max(0, -((l - mn) // d)), (mx - l) // d)
                           for l, (mn, mx) in zip(low, spans)]
                 if any(l > h for l, h in bounds):
@@ -382,13 +391,15 @@ def eval_closed_box(cf: ClosedForm, lo: Vec, hi: Vec) -> dict[Vec, int]:
                     for li, b in zip(head, outer):
                         x = vadd(x, scale(b, li))
                     for m, ts in _clip(x, mid, last, lo, hi, m_bounds, bounds[-1]):
-                        y = vadd(x, scale(mid, m))
-                        for t in ts:
-                            alpha = vadd(y, scale(last, t))
-                            acc[alpha] = acc.get(alpha, 0) + _numerator(poly, alpha)
+                        t = ts.start  # the line's first point, then one step of last per t
+                        alpha = tuple([xk + m * bk + t * ck for xk, bk, ck in zip(x, mid, last)])
+                        for _ in ts:
+                            had = acc.get(alpha)
+                            acc[alpha] = coeffs if had is None else tuple(map(add, had, coeffs))
+                            alpha = tuple(map(add, alpha, last))
     out = {}
-    for alpha, v in acc.items():
-        n = _count(v, cf.denominator, alpha)
+    for alpha, coeffs in acc.items():
+        n = _count(sum(map(mul, coeffs, _monomials(exps, alpha))), cf.denominator, alpha)
         if n:
             out[alpha] = n
     return out

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EX1, EX2, STRESS_A, pointed_systems, random_pointed_systems
-from dtpower import engines
+from conftest import (EX1, EX2, STRESS_A, STRESS_B, pinned_inputs, pointed_systems,
+                      random_pointed_systems)
+from dtpower import engines, expalg
 from dtpower.engines import (DMContext, brute_force_box, brute_force_count,
                              cross_check, dm_count, independent_count)
 from dtpower.errors import BudgetError, InvariantError
-from dtpower.linalg import det_adj, pointedness_certificate, rank, solve_columns
+from dtpower.expalg import IDENTITY_RTOL, eval_numeric, laplace_generating, spot_check
+from dtpower.linalg import (check_system, det_adj, pointedness_certificate, rank,
+                            solve_columns)
 from dtpower.quasipoly import closed_form, support_membership
-from dtpower.toric import toric_reduce
+from dtpower.toric import ReducedForm, toric_reduce
 
 CORPUS = random_pointed_systems()
 # systems whose recursion base is a prefix of fewer than s vectors
@@ -409,9 +412,9 @@ class TestCrossCheck:
         assert cross_check(EX2, (-3, -3), (6, 6)).ok
         assert len(calls) == 1
 
-    def test_three_certificates(self, monkeypatch):
-        # cross_check's own system check, toric_reduce's, and one for the
-        # five points of the spot check
+    def test_two_certificates(self, monkeypatch):
+        # cross_check's own system check and toric_reduce's; the spot check's
+        # five points come from cross_check's
         calls = []
 
         def counted(X):
@@ -420,10 +423,48 @@ class TestCrossCheck:
         for module in ("linalg", "expalg", "engines"):
             monkeypatch.setattr(f"dtpower.{module}.pointedness_certificate", counted)
         assert cross_check(EX2, (-3, -3), (6, 6)).ok
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_engine_agreement_random_systems(self, random_systems):
         for i, X in enumerate(random_systems[:12]):
             s = len(X[0])
             report = cross_check(X, (-4,) * s, (8,) * s, seed=i)
             assert report.ok, (X, report.mismatches[:3])
+
+
+def with_unit_term(grouped):
+    """A grouped sum with 1 more at the zero shift of its first denominator."""
+    (denom, num), *rest = grouped
+    s = len(denom[0][0])
+    return [(denom, num + [((0,) * s, 1)]), *rest]
+
+
+class TestGroupedSpotCheck:
+    """cross_check spot-checks the reduction grouped by denominator
+    (ReducedForm.numerators): each denominator's product once, times the
+    sum of its numerators."""
+
+    def test_grouped_matches_term_by_term(self):
+        for label, X in pinned_inputs():
+            rf = toric_reduce(X)
+            grouped = list(rf.numerators())
+            for x in expalg._generic_points(X, range(5), check_system(X)):
+                got, want = eval_numeric(grouped, x), eval_numeric(rf.sum, x)
+                assert abs(got - want) <= IDENTITY_RTOL * (1 + abs(want)), label
+
+    @pytest.mark.parametrize("X", [EX1, EX2, STRESS_A, STRESS_B])
+    def test_corrupted_grouped_sum_raises(self, X):
+        # the unit term adds at least 1, where the tolerance allows under 1e-4
+        grouped = with_unit_term(list(toric_reduce(X).numerators()))
+        with pytest.raises(InvariantError, match="identity fails"):
+            spot_check(grouped, laplace_generating(X), X, 0, check_system(X))
+
+    @pytest.mark.parametrize("X", [EX2, STRESS_A])
+    def test_cross_check_raises_on_a_corrupted_reduction(self, X, monkeypatch):
+        rf = toric_reduce(X)
+        first = next(iter(rf.grouped))
+        grouped = dict(rf.grouped)
+        grouped[first] = {**grouped[first], 0: grouped[first].get(0, 0) + 1}  # packed zero shift
+        monkeypatch.setattr(engines, "toric_reduce", lambda X: ReducedForm(rf.source, grouped))
+        with pytest.raises(InvariantError, match="identity fails"):
+            cross_check(X, (0,) * len(X[0]), (2,) * len(X[0]))

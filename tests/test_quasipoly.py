@@ -17,7 +17,7 @@ from dtpower.cli import closed_form_from_json, closed_form_to_json
 from dtpower.engines import box_points, brute_force_count
 from dtpower.errors import InvariantError
 from dtpower.expalg import DenomFactor, make_term
-from dtpower.linalg import det_adj, pointedness_certificate, rank
+from dtpower.linalg import det_adj, pointedness_certificate, rank, vsub
 from dtpower.quasipoly import (ClosedForm, ConePiece, MultiPoly, closed_form,
                                eval_closed, eval_closed_box,
                                inverse_laplace_term, merge_pieces,
@@ -537,29 +537,45 @@ class TestCompiledEvaluator:
         forms += [closed_form_from_json(json.loads(json.dumps(closed_form_to_json(corpus_form(i)))))
                   for i in range(len(CORPUS))]
         for cf in forms:
-            compiled = quasipoly._compile(cf.numerators)
+            exps, compiled = quasipoly._compile(cf.numerators)
             polys = {(basis, offset): poly for basis, offset, poly in cf.numerators}
+            # the form's exponent tuples, sorted, each once
+            assert exps == sorted({e for poly in polys.values() for e in poly})
+            assert all(e < f for e, f in zip(exps, exps[1:]))
             # each basis once, in order of first sight, with det_adj's (d, adj)
             assert [b for b, _, _, _ in compiled] == list(dict.fromkeys(b for b, _ in polys))
-            seen, shared = set(), {}
+            seen = set()
             for basis, d, adj, buckets in compiled:
                 assert (d, adj) == det_adj(basis)
                 for key, entries in buckets.items():
-                    for low, offset, nums in entries:
+                    for low, offset, coeffs in entries:
                         # each piece once, keyed by adj.offset mod d, with its own offset
                         assert low == tuple(sum(r * x for r, x in zip(row, offset)) for row in adj)
                         assert key == tuple(x % d for x in low)
                         assert (basis, offset) not in seen
                         seen.add((basis, offset))
+                        # its numerators at exps, 0 elsewhere
                         poly = polys[(basis, offset)]
-                        assert [n for n, _ in nums] == list(poly.values()), (basis, offset)
-                        # each distinct exponent tuple's powers are built once and shared
-                        for exps, (_, powers) in zip(poly, nums):
-                            assert shared.setdefault(exps, powers) is powers
+                        assert len(coeffs) == len(exps)
+                        assert {e: n for e, n in zip(exps, coeffs) if n} == poly, (basis, offset)
+                        assert all(type(n) is int for n in coeffs)
             assert seen == set(polys)
-            for exps, powers in shared.items():
-                assert all(e > 0 for _, e in powers)
-                assert tuple(dict(powers).get(k, 0) for k in range(len(exps))) == exps
+
+    def test_matches_reference_on_cone_boundaries(self):
+        # each piece's apex, and one basis vector below it, on every pinned form:
+        # points where a coordinate of adj.alpha - adj.offset is 0 or -d
+        for label, _, _, cf in pinned_forms():
+            points = {offset for _, offset, _ in cf.numerators}
+            points |= {vsub(offset, b) for basis, offset, _ in cf.numerators for b in basis}
+            for a in sorted(points):
+                assert eval_closed(cf, a) == reference_value(cf, a), (label, a)
+
+    def test_matches_reference_far_on_d59(self):
+        cf = d59_form()
+        rng = random.Random(59)
+        for _ in range(50):
+            a = (rng.randint(10**5, 10**7), rng.randint(10**5, 10**7))
+            assert eval_closed(cf, a) == reference_value(cf, a), a
 
     @pytest.mark.parametrize("X", [EX2, STRESS_B])
     def test_compile_makes_no_fraction(self, X, monkeypatch):
@@ -575,7 +591,8 @@ class TestCompiledEvaluator:
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counted("__new__", Fraction.__new__)))
         for name in ("__mul__", "__rmul__"):
             monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
-        assert cf._compiled
+        exps, bases = cf._compiled
+        assert exps and bases
         assert calls == []
         # the counters see a product once one is made
         assert Fraction(1, 2) * 3 == 3 * Fraction(1, 2)
