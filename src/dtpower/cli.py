@@ -224,6 +224,8 @@ def _read_spec(args) -> ProblemSpec:
                 text = fh.read()
         except OSError as exc:
             raise InputError(f"cannot read {args.input}: {exc.strerror or exc}")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"cannot read {args.input}: {exc}")
     else:
         text = sys.stdin.read()
     return parse_vectors(text, label=args.input)
@@ -319,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Count nonnegative integer solutions of sum(beta_i * a_i) = alpha.",
         epilog="exit codes: 0 success, 2 invalid input or usage, 3 verification "
                "failure, 4 broken internal invariant (a bug; please report it), "
-               "5 valid input too large: a term, memo or node budget exceeded")
+               "5 valid input too large: a term, memo or node budget exceeded, "
+               "or a coordinate past the packed-shift bound")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):

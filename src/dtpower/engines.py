@@ -206,16 +206,16 @@ def cross_check(X, lo: Vec, hi: Vec, seed: int = 0) -> CountReport:
     """Run all three engines on every lattice point of the box.
 
     Also spot-checks the reduced generating function against the original
-    product at five seeded generic points before counting, grouped by
-    denominator and from the certificate of check_system; the closed form
-    is built from that same reduction.
+    product at five seeded generic points before counting, from
+    ReducedForm.grouped as it is and the certificate of check_system; the
+    closed form reads that same reduction, unpacked once by toric_reduce.
     """
     X = [tuple(a) for a in X]
     lo, hi = tuple(lo), tuple(hi)
     cert = check_system(X)
 
     rf = toric_reduce(X)
-    spot_check(list(rf.numerators()), laplace_generating(X), X, seed, cert)
+    spot_check(rf.grouped, laplace_generating(X), X, seed, cert)
 
     report = CountReport(box=(lo, hi))
     points = list(box_points(lo, hi))

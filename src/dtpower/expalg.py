@@ -131,18 +131,17 @@ def eval_numeric(expr, x) -> float:
     grouped sum; raises SingularPoint when a denominator pairing vanishes
     within tolerance.
 
-    A grouped sum is a list of (denominator, [(shift, coeff), ...]) pairs,
-    each denominator a tuple of (vector, power) pairs, as
-    toric.ReducedForm.numerators yields them.  Each denominator's product is
-    evaluated once and divides the sum of its numerators q * e^{<c,x>}.
+    A grouped sum is {denominator: {shift: coeff}}, as ReducedForm.grouped
+    holds it.  Each denominator's product is evaluated once and divides the
+    sum of its numerators q * e^{<c,x>}.
     """
     if isinstance(expr, ExpRatSum):
         return sum(eval_numeric(t, x) for t in expr.terms)
     if isinstance(expr, ExpRatTerm):
         return _divided(float(expr.num.coeff) * math.exp(dot_f(expr.num.shift, x)),
                         [(f.vector, f.power) for f in expr.denom], x)
-    return sum(_divided(sum(q * math.exp(dot_f(c, x)) for c, q in num), denom, x)
-               for denom, num in expr)
+    return sum(_divided(sum(q * math.exp(dot_f(c, x)) for c, q in num.items()), denom, x)
+               for denom, num in expr.items())
 
 
 def _divided(val: float, denom, x) -> float:
@@ -203,9 +202,9 @@ def _generic_points(vectors, seeds, cert) -> list[tuple[float, ...]]:
 def spot_check(got, want, X, seed: int = 0, cert=None) -> None:
     """Raise InvariantError unless got and want agree, to relative
     IDENTITY_RTOL, at the five points random_generic_point(X, seed + k).
-    Each is a term, an ExpRatSum or a grouped sum (see eval_numeric).  A
-    caller that holds X's pointedness certificate passes it, and it is not
-    computed again."""
+    Each is a term, an ExpRatSum or a grouped sum, ReducedForm.grouped (see
+    eval_numeric).  A caller that holds X's pointedness certificate passes
+    it, and it is not computed again."""
     if cert is None:
         cert = pointedness_certificate(X)
     for x in _generic_points(X, range(seed, seed + 5), cert):

@@ -18,8 +18,8 @@ a cache keyed on D as (vector, power) pairs (_inversion_data): the basis
 and its adjugate, the w_i, the pairs <w_i, b_i>, the divisor,
 sum_i (h_i - 1) * b_i, and the product of the linear factors expanded over
 int in alpha and in the t_i.  Per term come the t_i, that product at them
-and the offset.  closed_form walks the reduction's grouped sum one
-denominator at a time and adds each term's values, over int, into its
+and the offset.  closed_form reads ReducedForm.grouped as it is, one
+denominator at a time, and adds each term's values, over int, into its
 piece's numerators over L, the lcm of the divisors, so pieces that share
 (basis, offset) merge by int addition.
 
@@ -280,8 +280,8 @@ def _times(mono: dict[Vec, int], factor) -> dict[Vec, int]:
 
 
 def closed_form(X, reduced: ReducedForm | None = None) -> ClosedForm:
-    """Toric-reduce X and invert the grouped sum, one denominator at a
-    time; pieces that share (basis, offset) merge.
+    """Toric-reduce X and invert the grouped sum, rf.grouped as it is, one
+    denominator at a time; pieces that share (basis, offset) merge.
 
     A caller that already holds toric_reduce(X) passes it as reduced, and X
     is not reduced again.  Each denominator's _inversion_data is looked up
@@ -297,10 +297,10 @@ def closed_form(X, reduced: ReducedForm | None = None) -> ClosedForm:
     data = {denom: _inversion_data(denom) for denom in rf.grouped}
     L = lcm(*(divisor for _, _, _, divisor, _ in data.values()))
     acc: dict[tuple, dict[Vec, int]] = {}
-    for denom, num in rf.numerators():
+    for denom, num in rf.grouped.items():
         basis, ws, table, divisor, lift = data[denom]
         m = L // divisor
-        for c, q in num:
+        for c, q in num.items():
             key = (basis, tuple([-x - y for x, y in zip(c, lift)]))
             qm, poly = q * m, acc.setdefault(key, {})
             for e, v in _table_at(table, [sum(map(mul, w, c)) for w in ws]):

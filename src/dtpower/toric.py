@@ -13,22 +13,21 @@ Barvinok and LattE: it maps each denominator, a sorted tuple of
 absorbs each distinct denominator once, through a rewrite cached on
 (denominator, vector), and multiplies the denominator's whole numerator into
 it; it makes no dataclass per term.  The denominators of the result are the
-toric arrangement.  ReducedForm keeps the grouped sum; its ExpRatSum,
-ReducedForm.sum, is built on demand, the first time a caller asks for
-terms.
+toric arrangement.
 
-Inside the module a shift is one packed int (see STRIDE), so multiplying
+Inside the fold a shift is one packed int (see STRIDE), so multiplying
 numerators adds ints and builds no tuple per product.  Shifts are packed
 where they enter, the monomials of a gamma or of beta and the numerator of
-the unit term, and unpacked once, in _to_sum or in ReducedForm.numerators;
-absorb_vector adds its term's shift after unpacking.
+the unit term, and unpacked once, by _unpacked, when the fold is done, so
+ReducedForm.grouped maps each denominator to {shift in Z^s: int}; its
+ExpRatSum, ReducedForm.sum, is built on demand.  absorb_vector adds its
+term's shift after unpacking.
 
 The reduction is order-dependent and non-unique; correctness is semantic
 (formal-identity preservation, which the tests spot-check numerically at
-every prefix of the fold).
-The number of terms depends on the fold order by orders of magnitude, so
-toric_reduce chooses its order by a bounded greedy search (choose_fold),
-within a term budget.
+every prefix of the fold).  The number of terms depends on the fold order
+by orders of magnitude, so toric_reduce chooses its order by a bounded
+greedy search (choose_fold), within a term budget.
 
 The search abandons a candidate step before it multiplies what it would
 throw away.  Over Z a sum of finite sets has |A + B| >= |A| + |B| - 1,
@@ -58,6 +57,7 @@ Factor = tuple[Vec, int]            # (vector, power): (1 - e^{-<vector,x>})^pow
 Denom = tuple[Factor, ...]          # sorted by vector, each vector once
 Laurent = dict[int, int]            # packed shift -> coefficient
 Grouped = dict[Denom, Laurent]      # the working sum: denominator -> numerator
+Reduced = dict[Denom, dict[Vec, int]]  # a grouped sum with its shifts unpacked
 
 # A shift c in Z^s is packed as the int sum_i c_i * STRIDE^i (signed c_i):
 # packed ints add as their shifts do, and _unpack recovers c while every
@@ -92,22 +92,15 @@ TERM_BUDGET = 200_000
 @dataclass(frozen=True)
 class ReducedForm:
     """The reduction of source: grouped maps each denominator to its
-    numerator {packed shift: int}, the form choose_fold returns."""
+    numerator {shift in Z^s: int}, the sum choose_fold returns, unpacked."""
 
     source: tuple[Vec, ...]
-    grouped: Grouped = field(hash=False)  # compared by ==, left out of hash
+    grouped: Reduced = field(hash=False)  # compared by ==, left out of hash
 
     @cached_property
     def sum(self) -> ExpRatSum:
         """The terms, built on the first access and kept on this instance."""
-        return _to_sum(self.grouped, len(self.source[0]))
-
-    def numerators(self):
-        """(denominator, [(shift, coeff), ...]) for each denominator of the
-        grouped sum, in its order, with each shift unpacked into Z^s."""
-        s = len(self.source[0])
-        for denom, num in self.grouped.items():
-            yield denom, [(_unpack(c, s), q) for c, q in num.items()]
+        return _to_sum(self.grouped)
 
 
 def expand_dependent(relation: IntegerRelation, basis) -> list[tuple[Laurent, int]]:
@@ -200,14 +193,14 @@ def _absorption_data(denom: Denom, a: Vec) -> tuple[tuple, tuple[tuple[Denom, tu
     when a fold step reaches it; floor, its _product_floor, is at most its
     number of terms.
 
-    BudgetError when the multiplier m or a coefficient of the relation
-    passes TERM_BUDGET: beta and the gammas carry one term per unit of
-    them, built before any cap of a fold step can be checked."""
+    BudgetError when denom's power reaches MAX_POWER, or m or a relation
+    coefficient passes TERM_BUDGET: beta and the gammas carry one term per
+    unit of them, built before any cap of a fold step can be checked."""
     vecs = [v for v, _ in denom]
     if rank(vecs + [a]) == len(vecs) + 1:
         return None
     if sum(p for _, p in denom) >= MAX_POWER:
-        raise InvariantError(f"denominator power reaches {MAX_POWER}, past the packed-shift bound")
+        raise BudgetError(f"a denominator's power reaches the packed-shift bound of {MAX_POWER:,}")
     rel = integer_relation(vecs, a)
     if rel is None:
         raise InvariantError(f"{a} is outside the span of the denominators {vecs}")
@@ -270,7 +263,7 @@ def absorb_vector(term: ExpRatTerm, a: Vec) -> list[ExpRatTerm]:
     if is_zero(a):
         raise ValueError("cannot absorb the zero vector")
     denom = tuple((f.vector, f.power) for f in term.denom)
-    folded = _to_sum(fold_step({denom: {0: term.num.coeff}}, a), len(a))
+    folded = _to_sum(_unpacked(fold_step({denom: {0: term.num.coeff}}, a), len(a)))
     shift = term.num.shift
     return [ExpRatTerm(ExpMonomial(t.num.coeff, vadd(t.num.shift, shift)), t.denom)
             for t in folded.terms]
@@ -281,14 +274,13 @@ def toric_reduce(X) -> ReducedForm:
     order chosen by choose_fold within the term budget.
 
     X must pass linalg.check_system.  BudgetError when no fold the search
-    tries fits TERM_BUDGET.  The result always passes the structural
-    invariant checks of assert_reduced_invariants; its source is X in the
-    caller's order.
+    tries fits TERM_BUDGET or a shift passes ENTRY_LIMIT.  The fold's sum is
+    unpacked here, once, and rf.sum is not built.  The result passes
+    assert_reduced_invariants; its source is X in the caller's order.
     """
     X = [tuple(a) for a in X]
     check_system(X)
-    _, grouped = choose_fold(X)
-    rf = ReducedForm(tuple(X), grouped)
+    rf = ReducedForm(tuple(X), _unpacked(choose_fold(X)[1], len(X[0])))
     assert_reduced_invariants(rf)
     return rf
 
@@ -434,11 +426,11 @@ def _denominator(factors) -> Denom:
 
 
 def _pack(shift: Vec) -> int:
-    """sum_i shift[i] * STRIDE^i; InvariantError past ENTRY_LIMIT."""
+    """sum_i shift[i] * STRIDE^i; BudgetError past ENTRY_LIMIT."""
     packed = 0
     for c in reversed(shift):
         if abs(c) > ENTRY_LIMIT:
-            raise InvariantError(f"shift {shift} is past the packed-shift bound {ENTRY_LIMIT}")
+            raise BudgetError(f"shift {shift} has a coordinate past the packed-shift bound of {ENTRY_LIMIT:,}")
         packed = packed * STRIDE + c
     return packed
 
@@ -477,11 +469,16 @@ def _size(acc: Grouped) -> int:
     return sum(map(len, acc.values()))
 
 
-def _to_sum(acc: Grouped, s: int) -> ExpRatSum:
-    """The normalized ExpRatSum of a grouped sum of shifts in Z^s: terms
-    sorted by (shift, denominator), one DenomFactor tuple per denominator."""
-    factors = {d: tuple(DenomFactor(v, p) for v, p in d) for d in acc}
-    entries = sorted((_unpack(c, s), d, q) for d, num in acc.items() for c, q in num.items())
+def _unpacked(acc: Grouped, s: int) -> Reduced:
+    """acc with each packed shift unpacked into Z^s, in acc's order."""
+    return {d: {_unpack(c, s): q for c, q in num.items()} for d, num in acc.items()}
+
+
+def _to_sum(grouped: Reduced) -> ExpRatSum:
+    """The normalized ExpRatSum of an unpacked grouped sum: terms sorted by
+    (shift, denominator), one DenomFactor tuple per denominator."""
+    factors = {d: tuple(DenomFactor(v, p) for v, p in d) for d in grouped}
+    entries = sorted((c, d, q) for d, num in grouped.items() for c, q in num.items())
     return ExpRatSum(tuple(ExpRatTerm(ExpMonomial(q, c), factors[d]) for c, d, q in entries))
 
 

@@ -52,7 +52,7 @@ def reduce_checked(X):
     X, s = rf.source, len(rf.source[0])
     order, _ = toric.choose_fold(X)
     for k in range(1, len(X) + 1):
-        part = rf.sum if k == len(X) else toric._to_sum(toric._fold(X, order[:k]), s)
+        part = rf.sum if k == len(X) else toric._to_sum(toric._unpacked(toric._fold(X, order[:k]), s))
         spot_check(part, laplace_generating([X[i] for i in order[:k]]), X, 0)
     return rf
 

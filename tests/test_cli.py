@@ -146,6 +146,14 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "missing.txt" in err
 
+    def test_non_utf8_input_file_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "bytes.bin"
+        f.write_bytes(bytes(random.Random(0).randrange(128, 256) for _ in range(64)))
+        assert main(["count", "--point", "1", str(f)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: cannot read {f}: ") and "decode" in out.err
+
     def test_broken_invariant_exits_4(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise InvariantError("dependent denominator vectors")
@@ -181,9 +189,22 @@ class TestUsage:
         assert err.startswith("error: budget exceeded: ") and "relation coefficient" in err
         assert time.perf_counter() - start < 5.0
 
+    def test_coordinate_past_the_packed_shift_bound_exits_5(self, tmp_path, capsys):
+        # a valid pointed system whose relation puts a coordinate of 10^19
+        # into a shift; the removal recursion counts it (2)
+        text = "10000000000000000000 1\n0 1\n10000000000000000000 2\n"
+        code, out, err = run(["count", "--point", "10000000000000000000,3"], text, tmp_path, capsys)
+        assert code == 5 and out == ""
+        assert err.startswith("error: budget exceeded: ")
+        assert f"packed-shift bound of {toric.ENTRY_LIMIT:,}" in err
+        code, out, _ = run(["count", "--engine", "recursion", "--point", "10000000000000000000,3"],
+                           text, tmp_path, capsys)
+        assert code == 0 and out == "2\n"
+
     def test_help_documents_exit_codes(self, capsys):
         assert main(["--help"]) == 0
         out = " ".join(capsys.readouterr().out.split())
         assert "exit codes" in out and "4 broken internal invariant" in out
         assert "5 valid input too large" in out
         assert "a term, memo or node budget exceeded" in out
+        assert "a coordinate past the packed-shift bound" in out

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (EX1, EX2, STRESS_A, STRESS_B, pinned_inputs, pointed_systems,
                       random_pointed_systems)
-from dtpower import engines, expalg
+from dtpower import engines, expalg, toric
 from dtpower.engines import (DMContext, brute_force_box, brute_force_count,
                              cross_check, dm_count, independent_count)
 from dtpower.errors import BudgetError, InvariantError
@@ -433,38 +433,52 @@ class TestCrossCheck:
 
 
 def with_unit_term(grouped):
-    """A grouped sum with 1 more at the zero shift of its first denominator."""
-    (denom, num), *rest = grouped
-    s = len(denom[0][0])
-    return [(denom, num + [((0,) * s, 1)]), *rest]
+    """A copy of a grouped sum with 1 more at the zero shift of its first
+    denominator."""
+    out = dict(grouped)
+    first = next(iter(out))
+    zero = (0,) * len(first[0][0])
+    out[first] = {**out[first], zero: out[first].get(zero, 0) + 1}
+    return out
 
 
 class TestGroupedSpotCheck:
     """cross_check spot-checks the reduction grouped by denominator
-    (ReducedForm.numerators): each denominator's product once, times the
-    sum of its numerators."""
+    (ReducedForm.grouped as it is): each denominator's product once, times
+    the sum of its numerators."""
 
     def test_grouped_matches_term_by_term(self):
         for label, X in pinned_inputs():
             rf = toric_reduce(X)
-            grouped = list(rf.numerators())
             for x in expalg._generic_points(X, range(5), check_system(X)):
-                got, want = eval_numeric(grouped, x), eval_numeric(rf.sum, x)
+                got, want = eval_numeric(rf.grouped, x), eval_numeric(rf.sum, x)
                 assert abs(got - want) <= IDENTITY_RTOL * (1 + abs(want)), label
 
     @pytest.mark.parametrize("X", [EX1, EX2, STRESS_A, STRESS_B])
     def test_corrupted_grouped_sum_raises(self, X):
         # the unit term adds at least 1, where the tolerance allows under 1e-4
-        grouped = with_unit_term(list(toric_reduce(X).numerators()))
+        grouped = with_unit_term(toric_reduce(X).grouped)
         with pytest.raises(InvariantError, match="identity fails"):
             spot_check(grouped, laplace_generating(X), X, 0, check_system(X))
 
     @pytest.mark.parametrize("X", [EX2, STRESS_A])
     def test_cross_check_raises_on_a_corrupted_reduction(self, X, monkeypatch):
         rf = toric_reduce(X)
-        first = next(iter(rf.grouped))
-        grouped = dict(rf.grouped)
-        grouped[first] = {**grouped[first], 0: grouped[first].get(0, 0) + 1}  # packed zero shift
+        grouped = with_unit_term(rf.grouped)
         monkeypatch.setattr(engines, "toric_reduce", lambda X: ReducedForm(rf.source, grouped))
         with pytest.raises(InvariantError, match="identity fails"):
             cross_check(X, (0,) * len(X[0]), (2,) * len(X[0]))
+
+    @pytest.mark.parametrize("X", [EX2, STRESS_A, STRESS_B])
+    def test_cross_check_unpacks_each_shift_once(self, X, monkeypatch):
+        terms = sum(map(len, toric_reduce(X).grouped.values()))
+        calls = []
+        unpack = toric._unpack
+
+        def counted(packed, s):
+            calls.append(packed)
+            return unpack(packed, s)
+
+        monkeypatch.setattr(toric, "_unpack", counted)
+        assert cross_check(X, (0,) * len(X[0]), (2,) * len(X[0])).ok
+        assert len(calls) == terms

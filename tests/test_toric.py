@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EX1, EX2, pinned_inputs, random_pointed_systems, reduce_checked
+from conftest import D59, EX1, EX2, pinned_inputs, random_pointed_systems, reduce_checked
 from dtpower import expalg, toric
 from dtpower.cli import closed_form_to_json
 from dtpower.expalg import (DenomFactor, ExpRatSum, add, eval_numeric,
@@ -37,7 +37,7 @@ def one_minus_exp(v):
 def as_sum(num, s):
     """A packed numerator {packed shift: int} as the ExpRatSum of its
     monomials over Z^s."""
-    return toric._to_sum({(): num}, s)
+    return toric._to_sum(toric._unpacked({(): num}, s))
 
 
 def check_gamma_identity(relation, basis, gammas, seeds=range(5)):
@@ -102,8 +102,7 @@ def unpacked_partial_fraction(y0, gammas, denom):
     packed on the way in and unpacked on the way out."""
     s = len(y0[0])
     packed = [({toric._pack(c): q for c, q in g.items()}, v) for g, v in gammas]
-    out = partial_fraction(y0, packed, denom)
-    return {d: {toric._unpack(c, s): q for c, q in num.items()} for d, num in out.items()}
+    return toric._unpacked(partial_fraction(y0, packed, denom), s)
 
 
 class TestPartialFraction:
@@ -201,11 +200,12 @@ class TestPackedShifts:
         assert max(abs(c) for t in reduced.terms for c in t.num.shift) == e
 
     def test_guards_raise_also_under_python_O(self):
-        # each limit of the bound fails loudly instead of aliasing two shifts
+        # each limit of the bound is a size budget: it fails loudly, as
+        # BudgetError, instead of aliasing two shifts
         script = """
 import sys
 from dtpower import toric
-from dtpower.errors import InvariantError
+from dtpower.errors import BudgetError
 from dtpower.expalg import DenomFactor, make_term
 big = toric.ENTRY_LIMIT + 1
 cases = [
@@ -218,10 +218,10 @@ cases = [
 for case in cases:
     try:
         case()
-    except InvariantError as e:
+    except BudgetError as e:
         print("raised:", e)
     else:
-        sys.exit("no InvariantError")
+        sys.exit("no BudgetError")
 """
         src = str(Path(toric.__file__).parents[1])
         for flags in ([], ["-O"]):
@@ -376,6 +376,19 @@ class TestPinnedOutput:
         second = [toric_reduce(X).sum for X in systems]
         assert first == second == cold
         toric._absorption_data.cache_clear()
+
+
+class TestUnpackedHandOff:
+    """toric_reduce unpacks the fold's grouped sum once, so no packed shift
+    leaves toric, and it builds no terms."""
+
+    def test_every_shift_is_a_vector_of_ints(self):
+        for label, X in [*pinned_inputs(), ("d59", D59)]:
+            rf = toric_reduce(X)
+            s = len(X[0])
+            assert "sum" not in vars(rf), label
+            assert all(type(c) is tuple and len(c) == s and all(type(x) is int for x in c)
+                       for num in rf.grouped.values() for c in num), label
 
 
 class TestOffTheSumAlgebra:
