@@ -117,8 +117,8 @@ def fmt_term(term, names) -> str:
     return f"{head} / [{tail}]" if tail else head
 
 
-def render_reduced_text(rf, names=None) -> str:
-    names = names or _varnames(len(rf.source[0]))
+def render_reduced_text(rf) -> str:
+    names = _varnames(len(rf.source[0]))
     return "\n".join(fmt_term(t, names) for t in rf.sum.terms)
 
 
@@ -255,7 +255,7 @@ def cmd_count(args) -> int:
     spec = _read_spec(args)
     alpha = _parse_point(args.point, spec.dimension)
     if args.engine == "brute":
-        value = brute_force_count(spec.vectors, alpha, check_system(spec.vectors))
+        value = brute_force_count(spec.vectors, alpha)
     elif args.engine == "recursion":
         value = dm_count(spec.vectors, alpha)
     else:
@@ -322,6 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="exit codes: 0 success, 2 invalid input or usage, 3 verification "
                "failure, 4 broken internal invariant (a bug; please report it), "
                "5 valid input too large: a term, memo or node budget exceeded, "
+               "a verify box of more points than the memo budget, "
                "or a coordinate past the packed-shift bound")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -1,16 +1,17 @@
 """Independent counting engines and cross-engine verification.
 
 Three ways to count nonnegative integer solutions of sum beta_i a_i = alpha:
-exhaustive enumeration bounded by a pointedness certificate (the ground
-truth; the last vector's multiplier runs only over the range that lands in
-the box), the removal recursion of Dahmen and Micchelli in its telescoped
-form t_X(alpha) = t_{X minus a}(alpha) + t_X(alpha - a), walked along the
-line alpha, alpha - a, ... with every point memoised, and evaluation of the
-toric closed form.
+exhaustive enumeration bounded by X's memoised pointedness certificate (the
+ground truth; the last vector's multiplier runs only over the range that
+lands in the box), the removal recursion of Dahmen and Micchelli in its
+telescoped form t_X(alpha) = t_{X minus a}(alpha) + t_X(alpha - a), walked
+along the line alpha, alpha - a, ... with every point memoised and bounded
+by the same certificate, and evaluation of the toric closed form.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import product
@@ -18,8 +19,7 @@ from operator import add, sub
 
 from .errors import BudgetError
 from .expalg import laplace_generating, spot_check
-from .linalg import (PointedCertificate, Vec, check_system, column_solver,
-                     cone_count, dot, int_range, pointedness_certificate)
+from .linalg import Vec, column_solver, cone_count, dot, int_range, pointedness_certificate
 from .quasipoly import closed_form, eval_closed_box
 from .toric import toric_reduce
 
@@ -47,14 +47,14 @@ class CountReport:
         return not self.mismatches
 
 
-def brute_force_count(X, alpha, certificate: PointedCertificate) -> int:
+def brute_force_count(X, alpha) -> int:
     """Exhaustive count of beta in N^n with sum beta_i a_i == alpha: the
     one-point box of brute_force_box."""
     alpha = tuple(alpha)
-    return brute_force_box(X, alpha, alpha, certificate).get(alpha, 0)
+    return brute_force_box(X, alpha, alpha).get(alpha, 0)
 
 
-def brute_force_box(X, lo: Vec, hi: Vec, certificate: PointedCertificate) -> dict[Vec, int]:
+def brute_force_box(X, lo: Vec, hi: Vec) -> dict[Vec, int]:
     """Counts for every point of the box by one exhaustive enumeration.
 
     Enumerates all beta whose certificate pairing fits below the box maximum
@@ -63,7 +63,8 @@ def brute_force_box(X, lo: Vec, hi: Vec, certificate: PointedCertificate) -> dic
     in the box is pruned away.  At the last vector the multiplier runs only
     over the integer range that keeps the point inside the box, so every
     solution in the box is still visited once and none outside it is.
-    Raises ValueError for a box whose corners do not have X's dimension.
+    Raises ValueError for a system that is not pointed or a box whose
+    corners do not have X's dimension.
 
     The walk visits at most NODE_BUDGET nodes: each interior node counts
     one, and each line at the last vector its number of points, at least
@@ -74,7 +75,7 @@ def brute_force_box(X, lo: Vec, hi: Vec, certificate: PointedCertificate) -> dic
     s = len(X[0])
     if len(lo) != s or len(hi) != s:
         raise ValueError(f"box corners {tuple(lo)} and {tuple(hi)} do not have dimension {s}")
-    xs, _ = certificate.scaled()
+    xs = _scaled_certificate(X)
     weights = [dot(xs, a) for a in X]
     cap = sum(max(x * l, x * h) for x, l, h in zip(xs, lo, hi))
     last, w_last = X[-1], weights[-1]
@@ -112,6 +113,14 @@ def _over_node_budget() -> BudgetError:
     return BudgetError(f"the brute enumeration would pass its budget of {NODE_BUDGET:,} nodes")
 
 
+def _scaled_certificate(X) -> Vec:
+    """X's pointedness certificate, PointedCertificate.scaled; ValueError if none."""
+    cert = pointedness_certificate(X)
+    if cert is None:
+        raise ValueError("system is not pointed")
+    return cert.scaled()[0]
+
+
 def independent_count(A, alpha) -> int:
     """1 iff alpha is a nonnegative integer combination of the independent set A."""
     A = tuple(tuple(a) for a in A)
@@ -142,12 +151,9 @@ class DMContext:
     longer than the room left, before the line is held.
     """
 
-    def __init__(self, X, certificate=None):
+    def __init__(self, X):
         self.X = [tuple(a) for a in X]
-        self.cert = certificate or pointedness_certificate(self.X)
-        if self.cert is None:
-            raise ValueError("system is not pointed")
-        self.xs, _ = self.cert.scaled()
+        self.xs = _scaled_certificate(self.X)
         self.weights = [dot(self.xs, a) for a in self.X]
         # longest prefix that is still linearly independent: recursion base
         k = 0
@@ -207,25 +213,29 @@ def cross_check(X, lo: Vec, hi: Vec, seed: int = 0) -> CountReport:
 
     Also spot-checks the reduced generating function against the original
     product at five seeded generic points before counting, from
-    ReducedForm.grouped as it is and the certificate of check_system; the
-    closed form reads that same reduction, unpacked once by toric_reduce.
+    ReducedForm.grouped as it is; the closed form reads that same
+    reduction, unpacked once by toric_reduce, which validates X.  A box of
+    more than MEMO_BUDGET points, one memo entry each, raises BudgetError.
     """
     X = [tuple(a) for a in X]
     lo, hi = tuple(lo), tuple(hi)
-    cert = check_system(X)
+    size = math.prod(max(h - l + 1, 0) for l, h in zip(lo, hi))
+    if size > MEMO_BUDGET:
+        raise BudgetError(f"the box holds {size:,} points, past the removal recursion's "
+                          f"memo budget of {MEMO_BUDGET:,} entries")
 
     rf = toric_reduce(X)
-    spot_check(rf.grouped, laplace_generating(X), X, seed, cert)
+    spot_check(rf.grouped, laplace_generating(X), X, seed)
 
     report = CountReport(box=(lo, hi))
     points = list(box_points(lo, hi))
 
     t0 = time.perf_counter()
-    brute = brute_force_box(X, lo, hi, cert)
+    brute = brute_force_box(X, lo, hi)
     report.timings["brute"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    ctx = DMContext(X, cert)
+    ctx = DMContext(X)
     recursion = {p: ctx.count(p) for p in points}
     report.timings["recursion"] = time.perf_counter() - t0
 

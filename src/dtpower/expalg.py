@@ -12,7 +12,7 @@ The reduction builds its numerators as packed Laurents (see toric), so the
 sum algebra here, make_sum, add, mul, monomial and geometric_factor, is off
 the build path: it is the reference the tests check the reduction against.
 The build uses the term types, make_term (through laplace_generating) and
-the numeric spot check.
+the numeric spot check, placed by linalg's memoised pointedness certificate.
 """
 
 from __future__ import annotations
@@ -164,13 +164,14 @@ def random_generic_point(vectors, seed) -> tuple[float, ...]:
     Built from the pointedness certificate plus a small seeded perturbation;
     pairings are kept inside [0.1, 5] for comfortable float evaluation.
     """
-    return _generic_points(vectors, [seed], pointedness_certificate(vectors))[0]
+    return _generic_points(vectors, [seed])[0]
 
 
-def _generic_points(vectors, seeds, cert) -> list[tuple[float, ...]]:
-    """random_generic_point(vectors, seed) for each seed, from the
-    pointedness certificate cert of vectors (None: they are not pointed)."""
+def _generic_points(vectors, seeds) -> list[tuple[float, ...]]:
+    """random_generic_point(vectors, seed) for each seed, all from one
+    pointedness certificate of vectors."""
     vectors = [tuple(v) for v in vectors]
+    cert = pointedness_certificate(vectors)
     if cert is None:
         raise ValueError("system is not pointed; no generic point available")
     xi = [float(c) for c in cert.xi]
@@ -199,15 +200,12 @@ def _generic_points(vectors, seeds, cert) -> list[tuple[float, ...]]:
     return points
 
 
-def spot_check(got, want, X, seed: int = 0, cert=None) -> None:
+def spot_check(got, want, X, seed: int = 0) -> None:
     """Raise InvariantError unless got and want agree, to relative
-    IDENTITY_RTOL, at the five points random_generic_point(X, seed + k).
-    Each is a term, an ExpRatSum or a grouped sum, ReducedForm.grouped (see
-    eval_numeric).  A caller that holds X's pointedness certificate passes
-    it, and it is not computed again."""
-    if cert is None:
-        cert = pointedness_certificate(X)
-    for x in _generic_points(X, range(seed, seed + 5), cert):
+    IDENTITY_RTOL, at the five points random_generic_point(X, seed + k),
+    placed in one pass.  Each is a term, an ExpRatSum or a grouped sum,
+    ReducedForm.grouped (see eval_numeric)."""
+    for x in _generic_points(X, range(seed, seed + 5)):
         g, w = eval_numeric(got, x), eval_numeric(want, x)
         if abs(g - w) > IDENTITY_RTOL * (1 + abs(w)):
             raise InvariantError(f"generating-function identity fails at {x}: {g} vs {w}")

@@ -1,11 +1,13 @@
 """Exact rational linear algebra for small dense integer systems.
 
 Everything works over Python ints and fractions.Fraction; no floats enter
-any computation here.  Vectors are plain tuples of ints.  rank, det_adj,
+any computation here.  Vectors are plain tuples of ints.  rank,
 column_solver and integer_relation share one fraction-free elimination over
 int (_bareiss); solve_columns is the Fraction reference they are tested
-against.  pointedness_certificate eliminates over int rows too, each
-divided by its gcd, and makes Fractions only to back-substitute xi.
+against.  column_solver, cached, answers every question about a basis, its
+determinant, adjugate and orth_complement's normals.  The cached
+pointedness_certificate eliminates over int rows too, each divided by its
+gcd, and makes Fractions only to back-substitute xi.
 
 Two more kernels are shared by the engines and the evaluators: cone_count,
 the one test of a point against the cone of columns that column_solver
@@ -145,22 +147,18 @@ def integer_relation(basis, target):
 
 
 def orth_complement(basis, i: int) -> Vec:
-    """Primitive integer vector orthogonal to all basis vectors except basis[i].
+    """Primitive integer vector orthogonal to all basis vectors except basis[i]:
+    column_solver's adjugate row i divided by its gcd.
 
-    basis must be s invertible columns; the returned w satisfies
-    <w, basis[j]> == 0 for j != i and <w, basis[i]> > 0, with content 1.
-    Index i is 0-based.
+    basis must be s invertible columns (ValueError otherwise); the returned
+    w satisfies <w, basis[j]> == 0 for j != i and <w, basis[i]> > 0, with
+    content 1.  Index i is 0-based.
     """
-    s = len(basis)
-    cols = [tuple(b[k] for b in basis) for k in range(s)]  # transpose
-    e = tuple(1 if k == i else 0 for k in range(s))
-    w = solve_columns(cols, e)
-    if w is None:
+    solved = column_solver(tuple(map(tuple, basis)))
+    if solved is None or solved[2]:
         raise ValueError("basis is singular")
-    m = lcm(*(f.denominator for f in w))
-    v = [int(f * m) for f in w]
-    g = gcd(*v)
-    return tuple(c // g for c in v)
+    g = gcd(*solved[1][i])
+    return tuple(c // g for c in solved[1][i])
 
 
 def _bareiss(rows, ncols: int) -> tuple[int, int]:
@@ -199,8 +197,9 @@ def column_solver(columns: tuple[Vec, ...]):
     sum(lambda_j * columns[j]) == u.  The s - r rows of null pair to 0 with
     every column, and u lies in the span of the columns iff every row of
     null pairs to 0 with u.  Built by one elimination of [A | I_s], A the
-    s x r matrix of the columns.  Cached, because the recursion's base case
-    asks about one fixed prefix at every point.
+    s x r matrix of the columns; for r == s, null is () and d = |det|.
+    Cached: the fold search, the inversion (orth_complement), the compile
+    and the recursion's base case share a few bases.
     """
     s = len(columns[0]) if columns else 0
     if any(len(c) != s for c in columns):
@@ -242,39 +241,27 @@ def int_range(rows, low: int, high: int) -> range:
     return range(low, high + 1)
 
 
-@lru_cache(maxsize=4096)
-def det_adj(basis: tuple[Vec, ...]):
-    """(d, adj) for the square matrix B with the given columns, or None when
-    B is singular: the square case of column_solver.
-
-    d = |det B| > 0 and adj[i] / d is row i of B^{-1}: lambda_i =
-    <adj[i], u> / d solves sum(lambda_j * basis[j]) == u.  Row adj[i] is
-    orthogonal to every column but basis[i] and pairs with it to d.  Cached
-    itself, because its callers share a few bases: the fold search asks once
-    per basis subset of X, inversion once per denominator, the compile of
-    every closed form once per basis, and support_membership once per call.
-    """
-    s = len(basis)
-    if any(len(b) != s for b in basis):
-        raise ValueError(f"expected {s} basis vectors of dimension {s}")
-    solved = column_solver(basis)
-    return None if solved is None else solved[:2]
-
-
 def pointedness_certificate(X):
     """Rational xi with <xi, a> >= 1 for all a in X, via Fourier-Motzkin.
 
     Returns None exactly when the system is infeasible, i.e. the cone spanned
     by X contains a line (some nonzero nonnegative combination vanishes).
-    The elimination runs over int rows <coefs, xi> >= r: a pos row cp and a
-    neg row cn combine as -cn[var] * cp + cp[var] * cn, right-hand side
+    Memoised on the vectors of X, so every engine asks for it.
+    """
+    return _fourier_motzkin(tuple(map(tuple, X)))
+
+
+@lru_cache(maxsize=1024)
+def _fourier_motzkin(X: tuple[Vec, ...]):
+    """The elimination runs over int rows <coefs, xi> >= r: a pos row cp and
+    a neg row cn combine as -cn[var] * cp + cp[var] * cn, right-hand side
     included, divided by the row's gcd, a positive multiple of the rational
     row that eliminates var.  Only the back-substitution of xi is rational.
     """
     if not X:
         return PointedCertificate(())
     s = len(X[0])
-    cons = [(tuple(a), 1) for a in X]
+    cons = [(a, 1) for a in X]
     stages = []
     for var in range(s):
         stages.append(cons)

@@ -15,7 +15,7 @@ A piece's polynomial depends on its term's denominator D, on the scale q
 and on c only through t_i = <w_i, c>, with w_i the primitive normal
 B_i^perp.  So what depends on D alone is computed once per denominator, in
 a cache keyed on D as (vector, power) pairs (_inversion_data): the basis
-and its adjugate, the w_i, the pairs <w_i, b_i>, the divisor,
+and the w_i (linalg.orth_complement), the pairs <w_i, b_i>, the divisor,
 sum_i (h_i - 1) * b_i, and the product of the linear factors expanded over
 int in alpha and in the t_i.  Per term come the t_i, that product at them
 and the offset.  closed_form reads ReducedForm.grouped as it is, one
@@ -36,7 +36,7 @@ a ClosedForm compiles itself, once, into one layout that both evaluators
 read, (exps, bases).  exps is the sorted list of the form's distinct
 exponent tuples, a handful: at most 6 on the seeded corpus, every order of
 the two stress systems and D59.  bases holds one (basis, d, adj, buckets)
-entry per basis, with (d, adj) = det_adj(basis), whose buckets hold the
+entry per basis, with (d, adj) from linalg.column_solver, whose buckets hold the
 basis's pieces by the residue adj.offset mod d, each as (adj.offset,
 offset, coeffs): coeffs is the piece's int numerators as a dense tuple over
 exps.  alpha lies on a
@@ -64,7 +64,8 @@ from operator import add, ge, mul
 
 from .errors import InvariantError
 from .expalg import ExpRatTerm
-from .linalg import Vec, cone_count, det_adj, dot, int_range, scale, vadd, vsub
+from .linalg import (Vec, column_solver, cone_count, dot, int_range, orth_complement, scale,
+                     vadd, vsub)
 from .toric import ReducedForm, toric_reduce
 
 
@@ -155,7 +156,7 @@ def _compile(numerators) -> tuple[list[Vec], list]:
     """A form's int numerators arranged for evaluation: (exps, bases).  exps
     is the sorted list of the form's distinct exponent tuples.  bases holds
     (basis, d, adj, buckets) once per basis, in order of first sight, with
-    (d, adj) = det_adj(basis); buckets maps the residue tuple(adj.offset mod
+    (d, adj) = _solver(basis); buckets maps the residue tuple(adj.offset mod
     d) to the (adj.offset, offset, coeffs) of its pieces, in form order, with
     coeffs the piece's numerators as a dense tuple over exps, 0 where the
     piece has no such monomial.
@@ -180,11 +181,11 @@ def _monomials(exps, alpha) -> list[int]:
 
 
 def _solver(basis) -> tuple[int, tuple[Vec, ...]]:
-    """det_adj of a cone basis, which must be invertible."""
-    solved = det_adj(tuple(tuple(b) for b in basis))
-    if solved is None:
+    """column_solver's (d, adj) of a cone basis, which must be invertible."""
+    solved = column_solver(tuple(map(tuple, basis)))
+    if solved is None or solved[2]:
         raise ValueError("singular basis")
-    return solved
+    return solved[:2]
 
 
 def support_membership(basis, offset: Vec, alpha: Vec) -> bool:
@@ -219,8 +220,9 @@ def _inversion_data(denom) -> tuple:
     """(basis, ws, table, divisor, lift) of a reduced term's denominator,
     given as (vector, power) pairs.
 
-    ws holds w_i, adjugate row i made primitive: orthogonal to every basis
-    vector but b_i and positive on it.  With pair_i = <w_i, b_i>, table is
+    ws holds w_i = orth_complement(basis, i), adjugate row i made primitive:
+    orthogonal to every basis vector but b_i and positive on it.  With
+    pair_i = <w_i, b_i>, table is
     prod_i prod_{j=1}^{h_i-1} (<w_i, alpha> + t_i + j * pair_i), expanded
     over int: per exponent tuple of alpha, its (coefficient,
     ((i, power of t_i), ...)) pairs.  divisor is
@@ -228,7 +230,6 @@ def _inversion_data(denom) -> tuple:
     """
     basis = tuple(v for v, _ in denom)
     s = len(basis[0]) if basis else 0
-    _, adj = _solver(basis)
     # exponents of the expansion: alpha_1 .. alpha_s, then t_1 .. t_s
     unit = [tuple(int(k == i) for k in range(2 * s)) for i in range(2 * s)]
     zero = (0,) * (2 * s)
@@ -237,8 +238,7 @@ def _inversion_data(denom) -> tuple:
     divisor = 1
     lift = (0,) * s
     for i, (v, h) in enumerate(denom):
-        g = gcd(*adj[i])
-        w = tuple(x // g for x in adj[i])
+        w = orth_complement(basis, i)
         pair = dot(w, v)
         linear = [(e, x) for e, x in zip(unit, w) if x] + [(unit[s + i], 1)]
         for j in range(1, h):

@@ -50,7 +50,7 @@ from itertools import combinations
 
 from .errors import BudgetError, InvariantError
 from .expalg import DenomFactor, ExpMonomial, ExpRatSum, ExpRatTerm
-from .linalg import (IntegerRelation, Vec, check_system, det_adj,
+from .linalg import (IntegerRelation, Vec, check_system, column_solver,
                      integer_relation, is_zero, rank, scale, vadd)
 
 Factor = tuple[Vec, int]            # (vector, power): (1 - e^{-<vector,x>})^power
@@ -365,7 +365,7 @@ def choose_fold(X) -> tuple[list[int], Grouped]:
     n, s = len(X), len(X[0])
     seeds = []
     for subset in combinations(range(n), s):
-        solved = det_adj(tuple(X[i] for i in subset))
+        solved = column_solver(tuple(X[i] for i in subset))
         if solved is not None:
             seeds.append((solved[0], subset))
     seeds.sort()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dtpower import toric
 from dtpower.expalg import laplace_generating, spot_check
-from dtpower.linalg import det_adj, pointedness_certificate, rank
+from dtpower.linalg import column_solver, pointedness_certificate, rank
 
 EX1 = ((1,), (1,), (2,))
 EX2 = ((1, 0), (0, 1), (-1, 2))
@@ -59,7 +59,7 @@ def reduce_checked(X):
 
 def max_subset_det(X, s):
     """Largest |det| over the s-subsets of X; 0 when every one is singular."""
-    solved = (det_adj(sub) for sub in itertools.combinations(X, s))
+    solved = (column_solver(sub) for sub in itertools.combinations(X, s))
     return max((0 if r is None else r[0] for r in solved), default=0)
 
 

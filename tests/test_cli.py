@@ -5,7 +5,7 @@ import time
 import pytest
 
 from conftest import D59, EX2
-from dtpower import engines, toric
+from dtpower import engines, linalg, toric
 from dtpower.cli import (closed_form_from_json, closed_form_to_json, main,
                          parse_vectors)
 from dtpower.errors import InvariantError
@@ -67,6 +67,15 @@ class TestCount:
     def test_bad_point_dimension(self, tmp_path, capsys):
         code, _, err = run(["count", "--point", "1,2"], EX1_TEXT, tmp_path, capsys)
         assert code == 2 and "point" in err
+
+    @pytest.mark.parametrize("engine", ["brute", "recursion", "closed"])
+    def test_system_eliminated_once(self, engine, tmp_path, capsys):
+        # the input's validation eliminates it; the engine reuses the certificate
+        linalg._fourier_motzkin.cache_clear()
+        code, out, _ = run(["count", "--point", "0,4", "--engine", engine],
+                           EX2_TEXT, tmp_path, capsys)
+        assert code == 0 and out.strip() == "3"
+        assert linalg._fourier_motzkin.cache_info().misses == 1
 
 
 class TestFormats:
@@ -189,6 +198,16 @@ class TestUsage:
         assert err.startswith("error: budget exceeded: ") and "relation coefficient" in err
         assert time.perf_counter() - start < 5.0
 
+    @pytest.mark.parametrize("command", ["verify", "bench"])
+    def test_box_past_the_memo_budget_exits_5(self, command, tmp_path, capsys):
+        # 100,001^2 points: listing them alone would run out of memory
+        start = time.perf_counter()
+        code, out, err = run([command, "--box=0:100000"], EX2_TEXT, tmp_path, capsys)
+        assert code == 5 and out == ""
+        assert err.startswith("error: budget exceeded: ")
+        assert f"10,000,200,001 points, past the removal recursion's memo budget of {engines.MEMO_BUDGET:,}" in err
+        assert time.perf_counter() - start < 5.0
+
     def test_coordinate_past_the_packed_shift_bound_exits_5(self, tmp_path, capsys):
         # a valid pointed system whose relation puts a coordinate of 10^19
         # into a shift; the removal recursion counts it (2)
@@ -207,4 +226,5 @@ class TestUsage:
         assert "exit codes" in out and "4 broken internal invariant" in out
         assert "5 valid input too large" in out
         assert "a term, memo or node budget exceeded" in out
+        assert "a verify box of more points than the memo budget" in out
         assert "a coordinate past the packed-shift bound" in out

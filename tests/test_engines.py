@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import (EX1, EX2, STRESS_A, STRESS_B, pinned_inputs, pointed_systems,
                       random_pointed_systems)
-from dtpower import engines, expalg, toric
+from dtpower import engines, expalg, linalg, toric
 from dtpower.engines import (DMContext, brute_force_box, brute_force_count,
                              cross_check, dm_count, independent_count)
 from dtpower.errors import BudgetError, InvariantError
 from dtpower.expalg import IDENTITY_RTOL, eval_numeric, laplace_generating, spot_check
-from dtpower.linalg import (check_system, det_adj, pointedness_certificate, rank,
-                            solve_columns)
+from dtpower.linalg import column_solver, pointedness_certificate, rank, solve_columns
 from dtpower.quasipoly import closed_form, support_membership
 from dtpower.toric import ReducedForm, toric_reduce
 
@@ -32,10 +31,10 @@ def pairing(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def unclipped_box(X, lo, hi, cert):
+def unclipped_box(X, lo, hi):
     """brute_force_box without the clip at the last vector: every beta under
     the certificate cap, each point tested against the box."""
-    xs, _ = cert.scaled()
+    xs, _ = pointedness_certificate(X).scaled()
     weights = [pairing(xs, a) for a in X]
     cap = sum(max(x * l, x * h) for x, l, h in zip(xs, lo, hi))
     counts = {}
@@ -74,36 +73,26 @@ def brute_boxes(draw):
     return X, lo, hi
 
 
-@pytest.fixture(scope="module")
-def cert1():
-    return pointedness_certificate(EX1)
-
-
-@pytest.fixture(scope="module")
-def cert2():
-    return pointedness_certificate(EX2)
-
-
 class TestBruteForce:
-    def test_scalar_count(self, cert1):
+    def test_scalar_count(self):
         # beta3 in {0,1,2} leaves 5+3+1 splittings of the remainder over {1,1}
-        assert brute_force_count(EX1, (4,), cert1) == 9
+        assert brute_force_count(EX1, (4,)) == 9
 
-    def test_planar_count(self, cert2):
-        assert brute_force_count(EX2, (2, 2), cert2) == 2
+    def test_planar_count(self):
+        assert brute_force_count(EX2, (2, 2)) == 2
 
-    def test_origin_counts_once(self, cert1, cert2):
-        assert brute_force_count(EX1, (0,), cert1) == 1
-        assert brute_force_count(EX2, (0, 0), cert2) == 1
+    def test_origin_counts_once(self):
+        assert brute_force_count(EX1, (0,)) == 1
+        assert brute_force_count(EX2, (0, 0)) == 1
 
-    def test_negative_budget_is_zero(self, cert1):
-        assert brute_force_count(EX1, (-3,), cert1) == 0
+    def test_negative_budget_is_zero(self):
+        assert brute_force_count(EX1, (-3,)) == 0
 
-    def test_box_histogram_matches_pointwise(self, cert2):
+    def test_box_histogram_matches_pointwise(self):
         lo, hi = (-4, -4), (6, 6)
-        table = brute_force_box(EX2, lo, hi, cert2)
+        table = brute_force_box(EX2, lo, hi)
         for a in itertools.product(range(-4, 7), repeat=2):
-            assert table.get(a, 0) == brute_force_count(EX2, a, cert2)
+            assert table.get(a, 0) == brute_force_count(EX2, a)
 
     @settings(max_examples=60, deadline=None)
     @given(brute_boxes())
@@ -116,43 +105,40 @@ class TestBruteForce:
     @example((EX2, (-9, -9), (-5, -2)))
     def test_clipped_box_equals_unclipped_enumeration(self, case):
         X, lo, hi = case
-        cert = pointedness_certificate(X)
-        assert brute_force_box(X, lo, hi, cert) == unclipped_box(X, lo, hi, cert)
+        assert brute_force_box(X, lo, hi) == unclipped_box(X, lo, hi)
 
     @pytest.mark.parametrize("lo,hi", [((0,), (3,)), ((0, 0, 0), (3, 3, 3))])
-    def test_box_of_another_dimension_rejected(self, cert2, lo, hi):
+    def test_box_of_another_dimension_rejected(self, lo, hi):
         with pytest.raises(ValueError, match="do not have dimension 2"):
-            brute_force_box(EX2, lo, hi, cert2)
+            brute_force_box(EX2, lo, hi)
         with pytest.raises(ValueError, match="do not have dimension 2"):
-            brute_force_count(EX2, hi, cert2)
+            brute_force_count(EX2, hi)
 
     def test_node_budget_is_inclusive(self, monkeypatch):
         # one interior node, then eleven one-point lines at the last vector
         X = [(1,), (1,)]
-        cert = pointedness_certificate(X)
         monkeypatch.setattr(engines, "NODE_BUDGET", 12)
-        assert brute_force_count(X, (10,), cert) == 11
+        assert brute_force_count(X, (10,)) == 11
         monkeypatch.setattr(engines, "NODE_BUDGET", 11)
         with pytest.raises(BudgetError, match="11 nodes"):
-            brute_force_count(X, (10,), cert)
+            brute_force_count(X, (10,))
         assert not issubclass(BudgetError, InvariantError)
 
     def test_node_budget_stops_a_line_before_walking_it(self, monkeypatch):
         # a line of 100,001 points counts as a whole: the walk raises before
         # it holds a single count of the line
         X = [(1,)]
-        cert = pointedness_certificate(X)
         monkeypatch.setattr(engines, "NODE_BUDGET", 100_000)
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError, match="100,000 nodes"):
-                brute_force_box(X, (0,), (100_000,), cert)
+                brute_force_box(X, (0,), (100_000,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 100_000
         monkeypatch.setattr(engines, "NODE_BUDGET", 100_001)
-        assert len(brute_force_box(X, (0,), (100_000,), cert)) == 100_001
+        assert len(brute_force_box(X, (0,), (100_000,))) == 100_001
 
 
 class TestIndependentCount:
@@ -202,10 +188,10 @@ class TestRecursion:
         assert dm_count([(3, 1)], (3, 1)) == 1
         assert dm_count([(3, 1)], (1, 1)) == 0
 
-    def test_agrees_with_brute_force(self, cert2):
-        ctx = DMContext(EX2, cert2)
+    def test_agrees_with_brute_force(self):
+        ctx = DMContext(EX2)
         for a in itertools.product(range(-4, 9), repeat=2):
-            assert ctx.count(a) == brute_force_count(EX2, a, cert2)
+            assert ctx.count(a) == brute_force_count(EX2, a)
 
     @pytest.mark.parametrize("X,box", [
         (EX1, [(a,) for a in range(-6, 21)]),
@@ -214,9 +200,8 @@ class TestRecursion:
     def test_removal_identity_every_index(self, X, box):
         # t_X(a) = sum_j t_{X\{a_i}}(a - j*a_i) must hold for every i
         X = list(X)
-        cert = pointedness_certificate(X)
-        xs, _ = cert.scaled()
-        full = DMContext(X, cert)
+        xs, _ = pointedness_certificate(X).scaled()
+        full = DMContext(X)
         for i in range(len(X)):
             rest = X[:i] + X[i + 1:]
             sub = DMContext(rest) if rest else None
@@ -238,14 +223,12 @@ class TestRecursion:
         # the base case is a prefix of fewer than s vectors
         ctx = DMContext(X)
         assert ctx.base_len < len(X[0])
-        cert = pointedness_certificate(X)
         hi = 8 if len(X[0]) == 2 else 5
         for a in itertools.product(range(-2, hi + 1), repeat=len(X[0])):
-            assert ctx.count(a) == brute_force_count(X, a, cert)
+            assert ctx.count(a) == brute_force_count(X, a)
 
-    def test_monotone_under_vector_addition(self, cert1):
+    def test_monotone_under_vector_addition(self):
         bigger = list(EX1) + [(3,)]
-        cert = pointedness_certificate(bigger)
         for a in range(-2, 15):
             assert dm_count(bigger, (a,)) >= dm_count(list(EX1), (a,))
 
@@ -300,7 +283,7 @@ def theorem_systems():
         if s > 2 or n == s:
             continue
         pieces = closed_form(X).pieces
-        P = math.lcm(*(det_adj(p.basis)[0] for p in pieces))
+        P = math.lcm(*(column_solver(p.basis)[0] for p in pieces))
         xs, _ = pointedness_certificate(X).scaled()
         if (n - s + 3) * P * sum(pairing(xs, a) for a in X) + 6 * sum(xs) <= LINE_BUDGET:
             out.append((X, pieces, P, DMContext(X)))
@@ -412,18 +395,30 @@ class TestCrossCheck:
         assert cross_check(EX2, (-3, -3), (6, 6)).ok
         assert len(calls) == 1
 
-    def test_two_certificates(self, monkeypatch):
-        # cross_check's own system check and toric_reduce's; the spot check's
-        # five points come from cross_check's
-        calls = []
+    def test_one_elimination_per_cross_check(self):
+        # toric_reduce's validation eliminates X; the spot check's five
+        # points, the brute enumeration and the recursion reuse its certificate
+        for X in (EX1, EX2, STRESS_A, STRESS_B):
+            linalg._fourier_motzkin.cache_clear()
+            assert cross_check(X, (0,) * len(X[0]), (2,) * len(X[0])).ok
+            info = linalg._fourier_motzkin.cache_info()
+            assert (info.misses, info.hits) == (1, 3), X
 
-        def counted(X):
-            calls.append(X)
-            return pointedness_certificate(X)
-        for module in ("linalg", "expalg", "engines"):
-            monkeypatch.setattr(f"dtpower.{module}.pointedness_certificate", counted)
-        assert cross_check(EX2, (-3, -3), (6, 6)).ok
-        assert len(calls) == 2
+    def test_box_past_the_memo_budget_raises_before_reducing(self, monkeypatch):
+        # a box of 3 x 3 points reaches the reduction under a budget of 9
+        # and raises before it under a budget of 8
+        class Reduced(Exception):
+            pass
+
+        def reduce(X):
+            raise Reduced
+        monkeypatch.setattr(engines, "toric_reduce", reduce)
+        monkeypatch.setattr(engines, "MEMO_BUDGET", 9)
+        with pytest.raises(Reduced):
+            cross_check(EX2, (0, 0), (2, 2))
+        monkeypatch.setattr(engines, "MEMO_BUDGET", 8)
+        with pytest.raises(BudgetError, match="9 points, past the removal recursion's memo budget of 8"):
+            cross_check(EX2, (0, 0), (2, 2))
 
     def test_engine_agreement_random_systems(self, random_systems):
         for i, X in enumerate(random_systems[:12]):
@@ -450,7 +445,7 @@ class TestGroupedSpotCheck:
     def test_grouped_matches_term_by_term(self):
         for label, X in pinned_inputs():
             rf = toric_reduce(X)
-            for x in expalg._generic_points(X, range(5), check_system(X)):
+            for x in expalg._generic_points(X, range(5)):
                 got, want = eval_numeric(rf.grouped, x), eval_numeric(rf.sum, x)
                 assert abs(got - want) <= IDENTITY_RTOL * (1 + abs(want)), label
 
@@ -459,7 +454,7 @@ class TestGroupedSpotCheck:
         # the unit term adds at least 1, where the tolerance allows under 1e-4
         grouped = with_unit_term(toric_reduce(X).grouped)
         with pytest.raises(InvariantError, match="identity fails"):
-            spot_check(grouped, laplace_generating(X), X, 0, check_system(X))
+            spot_check(grouped, laplace_generating(X), X, 0)
 
     @pytest.mark.parametrize("X", [EX2, STRESS_A])
     def test_cross_check_raises_on_a_corrupted_reduction(self, X, monkeypatch):

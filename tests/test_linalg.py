@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import D59, pinned_inputs
-from dtpower.linalg import (IntegerRelation, column_solver, det_adj, dot,
-                            int_range, integer_relation, orth_complement,
+from dtpower.linalg import (IntegerRelation, column_solver, dot, int_range,
+                            integer_relation, orth_complement,
                             pointedness_certificate, rank, solve_columns,
                             solve_square)
 
@@ -140,9 +140,8 @@ class TestColumnSolver:
         want = tuple(Fraction(dot(row, u), d) for row in adj) if in_span else None
         assert solve_columns(columns, u) == want
 
-    def test_square_case_is_det_adj(self):
-        basis = ((2, 1), (1, 3))
-        assert column_solver(basis) == det_adj(basis) + ((),)
+    def test_square_case_has_no_null_rows(self):
+        assert column_solver(((2, 1), (1, 3))) == (5, ((3, -1), (-1, 2)), ())
 
 
 class TestIntRange:
@@ -184,6 +183,24 @@ class TestOrthComplement:
                     assert dot(w, basis[j]) == 0
             assert gcd(*w) == 1
 
+    def test_matches_fraction_inverse_row(self):
+        # row i of B^-1, solving B^T w = e_i over Fraction, made primitive
+        rng = random.Random(500)
+        for _ in range(40):
+            basis = _random_basis(rng, rng.randint(1, 4))
+            s = len(basis)
+            for i in range(s):
+                w = solve_columns([tuple(b[k] for b in basis) for k in range(s)],
+                                  tuple(int(k == i) for k in range(s)))
+                m = lcm(*(f.denominator for f in w))
+                g = gcd(*(int(f * m) for f in w))
+                assert orth_complement(basis, i) == tuple(int(f * m) // g for f in w)
+
+    @pytest.mark.parametrize("basis", [[(1, 2), (2, 4)], [(1, 0, 0), (0, 1, 0)]])
+    def test_singular_or_short_basis_rejected(self, basis):
+        with pytest.raises(ValueError, match="singular"):
+            orth_complement(basis, 0)
+
 
 def _random_basis(rng, s):
     basis = []
@@ -193,23 +210,25 @@ def _random_basis(rng, s):
 
 
 class TestDetAdj:
+    """column_solver's determinant and adjugate of a square basis."""
+
     def test_skew_basis(self):
         # columns (1,0), (-1,2): det 2, inverse rows (1, 1/2) and (0, 1/2)
-        assert det_adj(((1, 0), (-1, 2))) == (2, ((2, 1), (0, 1)))
+        assert column_solver(((1, 0), (-1, 2))) == (2, ((2, 1), (0, 1)), ())
 
     def test_negative_determinant_made_positive(self):
-        d, adj = det_adj(((0, 1), (1, 0)))
+        d, adj, _ = column_solver(((0, 1), (1, 0)))
         assert d == 1 and adj == ((0, 1), (1, 0))
 
     def test_singular_returns_none(self):
-        assert det_adj(((1, 2), (2, 4))) is None
+        assert column_solver(((1, 2), (2, 4))) is None
 
     @pytest.mark.parametrize("seed", range(20))
     def test_adjugate_solves(self, seed):
         rng = random.Random(300 + seed)
         s = rng.randint(1, 4)
         basis = _random_basis(rng, s)
-        d, adj = det_adj(basis)
+        d, adj, _ = column_solver(basis)
         u = tuple(rng.randint(-9, 9) for _ in range(s))
         assert tuple(Fraction(dot(row, u), d) for row in adj) == solve_square(basis, u)
 
@@ -218,7 +237,7 @@ class TestDetAdj:
         rng = random.Random(400 + seed)
         s = rng.randint(1, 4)
         basis = _random_basis(rng, s)
-        _, adj = det_adj(basis)
+        _, adj, _ = column_solver(basis)
         for i, row in enumerate(adj):
             g = gcd(*row)
             assert tuple(c // g for c in row) == orth_complement(basis, i)

@@ -17,7 +17,7 @@ from dtpower.cli import closed_form_from_json, closed_form_to_json
 from dtpower.engines import box_points, brute_force_count
 from dtpower.errors import InvariantError
 from dtpower.expalg import DenomFactor, make_term
-from dtpower.linalg import det_adj, pointedness_certificate, rank, vsub
+from dtpower.linalg import column_solver, dot, pointedness_certificate, rank, solve_square, vsub
 from dtpower.quasipoly import (ClosedForm, ConePiece, MultiPoly, closed_form,
                                eval_closed, eval_closed_box,
                                inverse_laplace_term, merge_pieces,
@@ -105,7 +105,7 @@ def reference_inverse(term):
     multiplied out over Fraction for this term alone."""
     basis = tuple(f.vector for f in term.denom)
     s = len(basis[0])
-    _, adj = det_adj(basis)
+    _, adj, _ = column_solver(basis)
     c = term.num.shift
     poly = {(0,) * s: Fraction(term.num.coeff)}
     offset = tuple(-x for x in c)
@@ -165,9 +165,8 @@ class TestClosedForm:
     def test_matches_brute_force_on_boxes(self):
         for X, box in [(EX1, range(-6, 13)), ([(2,), (3,)], range(-6, 13))]:
             cf = closed_form(X)
-            cert = pointedness_certificate(X)
             for a in box:
-                assert eval_closed(cf, (a,)) == brute_force_count(X, (a,), cert)
+                assert eval_closed(cf, (a,)) == brute_force_count(X, (a,))
 
     def test_reuses_given_reduction(self, monkeypatch):
         rf = toric_reduce(EX2)
@@ -190,9 +189,8 @@ class TestClosedForm:
 
     def test_planar_matches_brute_force(self):
         cf = closed_form(EX2)
-        cert = pointedness_certificate(EX2)
         for a in itertools.product(range(-6, 13), repeat=2):
-            assert eval_closed(cf, a) == brute_force_count(EX2, a, cert)
+            assert eval_closed(cf, a) == brute_force_count(EX2, a)
 
 
 class TestPinnedOutput:
@@ -456,11 +454,39 @@ class TestStructure:
                 assert isinstance(v, int) and v >= 0
 
 
+@lru_cache(maxsize=None)
+def reference_cones(cf):
+    """(r, M, pieces) per basis B of cf, built once per form: r the lcm of
+    the denominators of B^-1, taken by the Fraction solve (solve_square),
+    M = r * B^-1 over int, and per piece on B its (M.offset, M.offset mod r,
+    Fraction polynomial)."""
+    cones = {}
+    for p in cf.pieces:
+        if p.basis not in cones:
+            s = len(p.basis)
+            cols = [solve_square(p.basis, tuple(int(i == k) for i in range(s))) for k in range(s)]
+            r = math.lcm(*(f.denominator for col in cols for f in col))
+            cones[p.basis] = (r, [tuple(int(col[i] * r) for col in cols) for i in range(s)], [])
+        r, M, pieces = cones[p.basis]
+        low = tuple(dot(row, p.offset) for row in M)
+        pieces.append((low, tuple(x % r for x in low), p.poly))
+    return tuple(cones.values())
+
+
 def reference_value(cf, a) -> Fraction:
-    """The closed form at a by the reference path: every piece's membership
-    test and its Fraction polynomial."""
-    return sum((p.poly.evaluate(a) for p in cf.pieces
-                if support_membership(p.basis, p.offset, a)), Fraction(0))
+    """The closed form at a by the reference path: the sum of the Fraction
+    polynomials of the pieces whose cone holds a, every piece tested on its
+    own.  a lies on offset + N*B iff M.a - M.offset is a nonnegative
+    multiple of r coordinatewise (see reference_cones); M.a is computed once
+    per basis and point."""
+    total = Fraction(0)
+    for r, M, pieces in reference_cones(cf):
+        u = tuple(dot(row, a) for row in M)
+        residue = tuple(x % r for x in u)
+        for low, low_residue, poly in pieces:
+            if low_residue == residue and all(x >= y for x, y in zip(u, low)):
+                total += poly.evaluate(a)
+    return total
 
 
 def far_point(X, coeffs):
@@ -494,7 +520,7 @@ def corpus_points(draw):
 class TestCompiledEvaluator:
     """eval_closed and eval_closed_box evaluate a compiled form (residue
     buckets per basis, int numerators over one denominator); they must equal
-    the reference sum over support_membership hits exactly."""
+    the reference sum over the pieces whose cone holds the point exactly."""
 
     @settings(max_examples=300, deadline=None)
     @given(corpus_points())
@@ -542,11 +568,11 @@ class TestCompiledEvaluator:
             # the form's exponent tuples, sorted, each once
             assert exps == sorted({e for poly in polys.values() for e in poly})
             assert all(e < f for e, f in zip(exps, exps[1:]))
-            # each basis once, in order of first sight, with det_adj's (d, adj)
+            # each basis once, in order of first sight, with column_solver's (d, adj)
             assert [b for b, _, _, _ in compiled] == list(dict.fromkeys(b for b, _ in polys))
             seen = set()
             for basis, d, adj, buckets in compiled:
-                assert (d, adj) == det_adj(basis)
+                assert (d, adj, ()) == column_solver(basis)
                 for key, entries in buckets.items():
                     for low, offset, coeffs in entries:
                         # each piece once, keyed by adj.offset mod d, with its own offset

@@ -5,7 +5,7 @@ exit 2 and the same message."""
 import pytest
 
 from dtpower.cli import main
-from dtpower.engines import DMContext, brute_force_count, cross_check
+from dtpower.engines import DMContext, brute_force_box, brute_force_count, cross_check
 from dtpower.linalg import check_system
 from dtpower.quasipoly import closed_form
 from dtpower.toric import toric_reduce
@@ -53,12 +53,22 @@ def test_valid_system_gives_its_certificate():
 
 
 def test_dm_context_takes_a_pointed_rank_deficient_system():
-    # the removal identity counts subsystems such as {(1,0), (2,0)}
+    # the removal identity counts subsystems such as {(1,0), (2,0)}; both
+    # engines take the certificate from X itself
     X = [(1, 0), (2, 0)]
     ctx = DMContext(X)
+    table = brute_force_box(X, (0, 0), (5, 1))
     for a in range(6):
-        want = brute_force_count(X, (a, 0), ctx.cert)
-        assert ctx.count((a, 0)) == want == a // 2 + 1
-    assert ctx.count((1, 1)) == 0
+        assert ctx.count((a, 0)) == brute_force_count(X, (a, 0)) == table[(a, 0)] == a // 2 + 1
+    assert ctx.count((1, 1)) == brute_force_count(X, (1, 1)) == 0
+    assert (1, 1) not in table
+
+
+@pytest.mark.parametrize("engine", [
+    lambda X: brute_force_box(X, (0,), (3,)),
+    lambda X: brute_force_count(X, (3,)),
+    DMContext,
+], ids=["brute_force_box", "brute_force_count", "DMContext"])
+def test_brute_and_recursion_reject_a_system_that_is_not_pointed(engine):
     with pytest.raises(ValueError, match="not pointed"):
-        DMContext([(1,), (-1,)])
+        engine([(1,), (-1,)])
