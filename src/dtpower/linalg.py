@@ -13,8 +13,8 @@ Two more kernels are shared by the engines and the evaluators: cone_count,
 the one test of a point against the cone of columns that column_solver
 solved (independent_count, the recursion's base case and
 support_membership), and int_range, the one clip of an integer range by
-rows a * v <= r (the box walk's Fourier-Motzkin clip and the brute walk's
-line at the last vector).
+rows a * v <= r (a box line of eval_closed_box to a basis's chamber, and
+the brute walk's line at the last vector).
 """
 
 from __future__ import annotations

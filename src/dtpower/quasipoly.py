@@ -31,26 +31,37 @@ built, by closed_form or by ClosedForm.from_pieces from Fraction pieces
 read the int form too; pieces, the Fraction view, is built on its first
 access, for the tests and the benchmark.
 
-The evaluators do not test the pieces one by one.  On its first evaluation
-a ClosedForm compiles itself, once, into one layout that both evaluators
-read, (exps, bases).  exps is the sorted list of the form's distinct
-exponent tuples, a handful: at most 6 on the seeded corpus, every order of
-the two stress systems and D59.  bases holds one (basis, d, adj, buckets)
-entry per basis, with (d, adj) from linalg.column_solver, whose buckets hold the
-basis's pieces by the residue adj.offset mod d, each as (adj.offset,
-offset, coeffs): coeffs is the piece's int numerators as a dense tuple over
-exps.  alpha lies on a
-piece's cone iff adj.alpha = adj.offset mod d and adj.alpha >= adj.offset,
-so eval_closed meets its pieces by one dict lookup per basis and a sign
-test per candidate, builds alpha's monomials over exps once, and adds one
-dot product per active piece.  eval_closed_box walks each piece's cone
-lattice instead, from adj.corner computed once per basis and box, clipping
-the last two coordinates to the box (Fourier-Motzkin, then per point); it
-sums the coeffs of the pieces that reach each box point and takes one dot
-product per point.  The compile reads the int numerators as they are, so
-neither it nor the evaluators make a Fraction; the count is checked once
-per point, as a nonnegative multiple of the denominator.
-support_membership and MultiPoly.evaluate stay as the exact reference.
+The evaluators do not test the pieces one by one; they use the chamber
+theorem of Dahmen-Micchelli (1988) and Brion-Vergne (1997).  For a basis B
+of the form and a residue r of adj.alpha mod d, (d, adj) from
+linalg.column_solver, let T_B[r] be the sum of the pieces on B whose
+offsets have that residue.  Then at every lattice point
+
+    t_X(alpha) = sum over B with alpha + eps*v in cone(B) of
+                 T_B[adj.alpha mod d](alpha)
+
+for any v inside cone(X) and off every wall: t_X is one quasi-polynomial
+on (c - Z(X)) for each chamber c, Z(X) the zonotope of X, and alpha lies
+there for the chamber c that holds alpha + eps*v.  No offset enters.  v is
+fixed as sum X + eps*e_1 + eps^2*e_2 + ..., inside cone(X) and, by its
+lexicographic tail, on no wall.  So alpha + eps*v lies in cone(B) iff, per
+row, adj_i.alpha > 0, or adj_i.alpha == 0 and (adj_i.sum X, *adj_i) is
+lexicographically positive: adj.alpha >= floor, with floor_i 0 or 1.
+
+On its first evaluation a ClosedForm compiles itself, once, into the one
+layout both evaluators read, (exps, bases).  exps is the sorted list of the
+form's distinct exponent tuples, a handful: at most 6 on the seeded corpus,
+every order of the two stress systems and D59.  bases holds one
+(d, adj, floor, totals) entry per basis, totals mapping each residue to
+T_B's int numerators as a dense tuple over exps.  eval_closed takes, per
+basis, u = adj.alpha, the test u >= floor, one lookup and one tuple
+addition; then one dot product with alpha's monomials.  eval_closed_box
+walks the box line by line along the last coordinate: u steps by adj's last
+column, so each basis's test clips the line to one range (linalg.int_range)
+and its residue repeats with a period dividing d.  Neither makes a
+Fraction; the count is checked once per point, as a nonnegative multiple of
+the denominator.  support_membership and MultiPoly.evaluate stay as the
+exact per-piece reference.
 """
 
 from __future__ import annotations
@@ -136,7 +147,7 @@ class ClosedForm:
         """_compile's (exps, bases), built on the first evaluation and kept
         on this instance only; a numerator changed in place after that is
         not seen."""
-        return _compile(self.numerators)
+        return _compile(self.source, self.numerators)
 
 
 def _canonical(source, L: int, acc: dict[tuple, dict[Vec, int]]) -> ClosedForm:
@@ -152,26 +163,40 @@ def _canonical(source, L: int, acc: dict[tuple, dict[Vec, int]]) -> ClosedForm:
     return ClosedForm(tuple(tuple(a) for a in source), L // g, tuple(numerators))
 
 
-def _compile(numerators) -> tuple[list[Vec], list]:
+def _compile(source, numerators) -> tuple[list[Vec], list]:
     """A form's int numerators arranged for evaluation: (exps, bases).  exps
     is the sorted list of the form's distinct exponent tuples.  bases holds
-    (basis, d, adj, buckets) once per basis, in order of first sight, with
-    (d, adj) = _solver(basis); buckets maps the residue tuple(adj.offset mod
-    d) to the (adj.offset, offset, coeffs) of its pieces, in form order, with
-    coeffs the piece's numerators as a dense tuple over exps, 0 where the
-    piece has no such monomial.
+    (d, adj, floor, totals) once per basis, in order of first sight, with
+    (d, adj) = _solver(basis).  totals maps each residue tuple(adj.offset mod
+    d) to the sum of the coeffs of its pieces, coeffs a piece's numerators
+    as a dense tuple over exps, 0 where the piece has no such monomial.
+    floor[i] is 0 when adj_i pairs positively with the direction
+    v = _interior(source) + eps*e_1 + eps^2*e_2 + ..., that is when
+    (adj_i.v_0, *adj_i) is lexicographically positive, and 1 otherwise; so
+    alpha + eps*v lies in the open cone of the basis iff adj.alpha >= floor.
     """
     exps = sorted(set().union(*[poly for _, _, poly in numerators]))
     zeros = [0] * len(exps)
+    v = _interior(source)
+    zero = (0,) * (len(v) + 1)
     bases: dict[tuple, tuple] = {}
     for basis, offset, poly in numerators:
         if basis not in bases:
-            bases[basis] = (basis, *_solver(basis), {})
-        _, d, adj, buckets = bases[basis]
-        low = tuple([sum(map(mul, row, offset)) for row in adj])
+            d, adj = _solver(basis)
+            floor = tuple([int((sum(map(mul, row, v)), *row) < zero) for row in adj])
+            bases[basis] = (d, adj, floor, {})
+        d, adj, _, totals = bases[basis]
+        key = tuple([sum(map(mul, row, offset)) % d for row in adj])
         coeffs = tuple(map(poly.get, exps, zeros))
-        buckets.setdefault(tuple([x % d for x in low]), []).append((low, offset, coeffs))
+        had = totals.get(key)
+        totals[key] = coeffs if had is None else tuple(map(add, had, coeffs))
     return exps, list(bases.values())
+
+
+def _interior(source) -> Vec:
+    """sum X: a point inside cone(X), the leading term of the evaluators'
+    direction v."""
+    return tuple(map(sum, zip(*source)))
 
 
 def _monomials(exps, alpha) -> list[int]:
@@ -315,26 +340,23 @@ merge_pieces = ClosedForm.from_pieces
 def eval_closed(cf: ClosedForm, alpha) -> int:
     """Exact count at one lattice point; always a nonnegative integer.
 
-    Per basis: u = adj.alpha, one bucket lookup on its residue mod d, and a
-    sign test u >= adj.offset for each piece of the bucket.  alpha's
-    monomials over the form's exponent tuples are built once, at the first
-    active piece, and each active piece adds the dot product of its coeffs
-    with them.
+    Per basis: u = adj.alpha and the chamber test u >= floor, and for a
+    basis that passes one lookup of its total on the residue u mod d and
+    one tuple addition.  Then one dot product of the sum with alpha's
+    monomials over the form's exponent tuples.
     """
     alpha = tuple(alpha)
     if len(alpha) != len(cf.source[0]):
         raise ValueError(f"point {alpha} does not have dimension {len(cf.source[0])}")
     exps, bases = cf._compiled
-    total, m = 0, None
-    for _, d, adj, buckets in bases:
+    acc = None
+    for d, adj, floor, totals in bases:
         u = [sum(map(mul, row, alpha)) for row in adj]
-        hits = buckets.get(tuple([x % d for x in u]))
-        if hits:
-            for low, _, coeffs in hits:
-                if all(map(ge, u, low)):
-                    if m is None:
-                        m = _monomials(exps, alpha)
-                    total += sum(map(mul, coeffs, m))
+        if all(map(ge, u, floor)):
+            hit = totals.get(tuple([x % d for x in u]))
+            if hit is not None:
+                acc = hit if acc is None else tuple(map(add, acc, hit))
+    total = 0 if acc is None else sum(map(mul, acc, _monomials(exps, alpha)))
     return _count(total, cf.denominator, alpha)
 
 
@@ -348,79 +370,46 @@ def _count(numerator: int, denominator: int, alpha: Vec) -> int:
 
 
 def eval_closed_box(cf: ClosedForm, lo: Vec, hi: Vec) -> dict[Vec, int]:
-    """Counts for every lattice point of the box, walking each piece's own
-    support lattice instead of testing membership pointwise.
+    """Counts for every lattice point of the box, by eval_closed's rule
+    applied line by line along the last coordinate.
 
-    A cone coordinate lambda_i = (adj_i.alpha - adj_i.offset) / d is linear
-    in alpha, so over the box it lies between its values at the corners.
-    The corner images adj.corner are computed once per basis, and a piece
-    with low = adj.offset bounds lambda_i by
-    ceil((min_i - low_i) / d) .. floor((max_i - low_i) / d), min_i and max_i
-    taken over the corners.  lambda_1 .. lambda_{s-2} run over those ranges.
-    For each of their points x, the box bounds (m, t) = (lambda_{s-1},
-    lambda_s) by the rows lo_k <= x_k + m * b_k + t * c_k <= hi_k, with b and
-    c the last two basis vectors.  Eliminating t from the rows
-    (Fourier-Motzkin) clips m, and for each m the rows clip t, so the walk
-    skips every m whose line misses the box and meets only lattice points in
-    the box.  Each point keeps the sum of the coeffs of the pieces that
-    reach it, and its count is one dot product of that sum with its
-    monomials.
+    On the line head + t*e_s, t = 0 .. hi_s - lo_s from its first point,
+    u = adj.alpha steps by adj's last column, so a basis's chamber test
+    u >= floor clips t to one range (linalg.int_range), and its residue
+    u mod d repeats with a period dividing d: at most d lookups per line
+    and basis, each total then added to every d-th point of the range.
+    Each point keeps the sum of the totals that reach it, and its count is
+    one dot product of that sum with its monomials.
     """
     s = len(cf.source[0])
     if len(lo) != s or len(hi) != s:
         raise ValueError(f"box corners {tuple(lo)} and {tuple(hi)} do not have dimension {s}")
     exps, bases = cf._compiled
-    acc: dict[Vec, tuple[int, ...]] = {}
-    corners = list(product(*zip(lo, hi)))
-    for basis, d, adj, buckets in bases:
-        spans = []  # (min, max) of adj_i.corner over the corners, per row
-        for row in adj:
-            images = [sum(map(mul, row, c)) for c in corners]
-            spans.append((min(images), max(images)))
-        *outer, last = basis
-        mid = outer.pop() if outer else (0,) * s  # s == 1: m is 0 on a zero vector
-        for pieces in buckets.values():
-            for low, offset, coeffs in pieces:
-                bounds = [(max(0, -((l - mn) // d)), (mx - l) // d)
-                          for l, (mn, mx) in zip(low, spans)]
-                if any(l > h for l, h in bounds):
-                    continue
-                m_bounds = bounds[-2] if s > 1 else (0, 0)
-                for head in product(*[range(l, h + 1) for l, h in bounds[:-2]]):
-                    x = offset
-                    for li, b in zip(head, outer):
-                        x = vadd(x, scale(b, li))
-                    for m, ts in _clip(x, mid, last, lo, hi, m_bounds, bounds[-1]):
-                        t = ts.start  # the line's first point, then one step of last per t
-                        alpha = tuple([xk + m * bk + t * ck for xk, bk, ck in zip(x, mid, last)])
-                        for _ in ts:
-                            had = acc.get(alpha)
-                            acc[alpha] = coeffs if had is None else tuple(map(add, had, coeffs))
-                            alpha = tuple(map(add, alpha, last))
+    t_lo, span = lo[-1], hi[-1] - lo[-1]
     out = {}
-    for alpha, coeffs in acc.items():
-        n = _count(sum(map(mul, coeffs, _monomials(exps, alpha))), cf.denominator, alpha)
-        if n:
-            out[alpha] = n
+    for head in product(*[range(l, h + 1) for l, h in zip(lo[:-1], hi[:-1])]):
+        first = (*head, t_lo)
+        line = [None] * (span + 1)
+        for d, adj, floor, totals in bases:
+            u = [sum(map(mul, row, first)) for row in adj]
+            step = [row[-1] for row in adj]
+            ts = _chamber_range(u, step, floor, span)
+            for t in ts[:d]:
+                hit = totals.get(tuple([(x + t * c) % d for x, c in zip(u, step)]))
+                if hit is not None:
+                    for k in range(t, ts.stop, d):
+                        had = line[k]
+                        line[k] = hit if had is None else tuple(map(add, had, hit))
+        for t, acc in enumerate(line):
+            if acc is not None:
+                alpha = (*head, t_lo + t)
+                n = _count(sum(map(mul, acc, _monomials(exps, alpha))), cf.denominator, alpha)
+                if n:
+                    out[alpha] = n
     return out
 
 
-def _clip(x: Vec, b: Vec, c: Vec, lo: Vec, hi: Vec, m_bounds, t_bounds):
-    """(m, range of t) for each integer m in m_bounds for which a real t in
-    t_bounds puts x + m*b + t*c in the box, with the integer t that do.
-
-    Fourier-Motzkin: pairing each lower bound on t with each upper one
-    eliminates t and leaves the rows on m; then each m solves for t.
-    """
-    t_lo, t_hi = t_bounds
-    rows = [(0, 1, t_hi), (0, -1, -t_lo)]  # (a_m, a_t, r): a_m*m + a_t*t <= r
-    for l, h, xk, bk, ck in zip(lo, hi, x, b, c):
-        rows += [(bk, ck, h - xk), (-bk, -ck, xk - l)]
-    m_rows = [(am, r) for am, at, r in rows if at == 0]
-    m_rows += [(am * -at2 + am2 * at, r * -at2 + r2 * at)
-               for am, at, r in rows if at > 0
-               for am2, at2, r2 in rows if at2 < 0]
-    t_rows = [(at, r, am) for am, at, r in rows if at]
-    for m in int_range(m_rows, *m_bounds):
-        yield m, int_range([(at, r - am * m) for at, r, am in t_rows], t_lo, t_hi)
-
+def _chamber_range(u, step, floor, span: int) -> range:
+    """The t in 0 .. span with u + t*step >= floor coordinatewise: the
+    points of a box line that pass a basis's chamber test."""
+    return int_range([(-c, x - f) for c, x, f in zip(step, u, floor)], 0, span)

@@ -190,16 +190,22 @@ class TestOrthComplement:
             basis = _random_basis(rng, rng.randint(1, 4))
             s = len(basis)
             for i in range(s):
-                w = solve_columns([tuple(b[k] for b in basis) for k in range(s)],
-                                  tuple(int(k == i) for k in range(s)))
-                m = lcm(*(f.denominator for f in w))
-                g = gcd(*(int(f * m) for f in w))
-                assert orth_complement(basis, i) == tuple(int(f * m) // g for f in w)
+                assert orth_complement(basis, i) == _primitive_inverse_row(basis, i)
 
     @pytest.mark.parametrize("basis", [[(1, 2), (2, 4)], [(1, 0, 0), (0, 1, 0)]])
     def test_singular_or_short_basis_rejected(self, basis):
         with pytest.raises(ValueError, match="singular"):
             orth_complement(basis, 0)
+
+
+def _primitive_inverse_row(basis, i):
+    """Row i of B^-1, solving B^T w = e_i over Fraction, made primitive."""
+    s = len(basis)
+    w = solve_columns([tuple(b[k] for b in basis) for k in range(s)],
+                      tuple(int(k == i) for k in range(s)))
+    m = lcm(*(f.denominator for f in w))
+    g = gcd(*(int(f * m) for f in w))
+    return tuple(int(f * m) // g for f in w)
 
 
 def _random_basis(rng, s):
@@ -240,7 +246,10 @@ class TestDetAdj:
         _, adj, _ = column_solver(basis)
         for i, row in enumerate(adj):
             g = gcd(*row)
-            assert tuple(c // g for c in row) == orth_complement(basis, i)
+            # both against the Fraction inverse, which neither is computed from
+            want = _primitive_inverse_row(basis, i)
+            assert tuple(c // g for c in row) == want
+            assert orth_complement(basis, i) == want
 
 
 def _small_system(seed):

@@ -21,7 +21,7 @@ from dtpower.linalg import column_solver, dot, pointedness_certificate, rank, so
 from dtpower.quasipoly import (ClosedForm, ConePiece, MultiPoly, closed_form,
                                eval_closed, eval_closed_box,
                                inverse_laplace_term, merge_pieces,
-                               support_membership, _clip)
+                               support_membership)
 from dtpower.toric import toric_reduce
 
 
@@ -339,8 +339,8 @@ def corpus_boxes(draw):
 
 
 class TestBoxWalk:
-    """eval_closed_box clips each piece's last cone coordinate to the box;
-    it must agree with pointwise evaluation everywhere."""
+    """eval_closed_box clips each box line to each basis's chamber; it must
+    agree with pointwise evaluation everywhere."""
 
     @settings(max_examples=80, deadline=None)
     @given(corpus_boxes())
@@ -381,43 +381,39 @@ class TestBoxWalk:
         with pytest.raises(ValueError, match="dimension 2"):
             eval_closed_box(cf, lo, hi)
 
-    @settings(max_examples=300)
-    @given(st.integers(1, 3).flatmap(lambda s: st.tuples(
-        *[st.tuples(*[st.integers(-4, 4)] * s)] * 5, st.tuples(*[st.integers(-3, 6)] * 4))))
-    def test_clip_meets_exactly_the_lines_that_cross_the_box(self, case):
-        # the m it yields are those whose line x + m*b + t*c, t real in
-        # t_bounds, meets the box, and their t ranges hold the lattice points
-        x, b, c, lo, width, (m_lo, m_span, t_lo, t_span) = case
-        hi = tuple(l + abs(w) for l, w in zip(lo, width))
-        m_bounds, t_bounds = (m_lo, m_lo + m_span), (t_lo, t_lo + t_span)
+    @pytest.mark.parametrize("which", ["corpus", "d59"])
+    def test_line_clip_is_the_pointwise_rule(self, which):
+        # on every line of the box, each basis's clipped t range holds
+        # exactly the points that pass the chamber rule, its tie-break
+        # signs taken here from the direction itself
+        if which == "corpus":
+            cases = [(corpus_form(i), *verify_box(X)) for i, X in enumerate(CORPUS)]
+        else:
+            cases = [(d59_form(), (0, 0), (60, 60))]
+        for cf, lo, hi in cases:
+            v = tuple(map(sum, zip(*cf.source)))
+            span = hi[-1] - lo[-1]
+            for head in itertools.product(*[range(l, h + 1) for l, h in zip(lo[:-1], hi[:-1])]):
+                for _, adj, floor, _ in cf._compiled[1]:
+                    signs = [lex_sign((dot(row, v), *row)) for row in adj]
+                    u = [dot(row, (*head, lo[-1])) for row in adj]
+                    want = [t for t in range(span + 1)
+                            if all(x + t * row[-1] > 0 or (x + t * row[-1] == 0 and sign > 0)
+                                   for x, row, sign in zip(u, adj, signs))]
+                    step = [row[-1] for row in adj]
+                    assert list(quasipoly._chamber_range(u, step, floor, span)) == want
 
-        def point(m, t):
-            return tuple(xk + m * bk + t * ck for xk, bk, ck in zip(x, b, c))
 
-        def line_meets_box(m):
-            low, high = Fraction(t_bounds[0]), Fraction(t_bounds[1])
-            for l, h, yk, ck in zip(lo, hi, point(m, 0), c):
-                if ck == 0:
-                    if not l <= yk <= h:
-                        return False
-                    continue
-                ends = sorted((Fraction(l - yk, ck), Fraction(h - yk, ck)))
-                low, high = max(low, ends[0]), min(high, ends[1])
-            return low <= high
+def verify_box(X):
+    """The verify box of the benchmark's corpus: from -3 in each coordinate
+    to 30, 12 or 6 by dimension."""
+    s = len(X[0])
+    return (-3,) * s, ({1: 30, 2: 12, 3: 6}[s],) * s
 
-        got = {m: list(ts) for m, ts in _clip(x, b, c, lo, hi, m_bounds, t_bounds)}
-        ms = range(m_bounds[0], m_bounds[1] + 1)
-        assert set(got) == {m for m in ms if line_meets_box(m)}
-        for m, ts in got.items():
-            assert ts == [t for t in range(t_bounds[0], t_bounds[1] + 1)
-                          if all(l <= v <= h for l, v, h in zip(lo, point(m, t), hi))]
 
-    def test_corpus_reaches_every_clip_branch(self):
-        # last basis vectors with positive, negative and zero coordinates
-        lasts = [p.basis[-1] for i in range(len(CORPUS)) for p in corpus_form(i).pieces
-                 if len(p.basis) > 1]
-        for branch in (lambda c: c > 0, lambda c: c < 0, lambda c: c == 0):
-            assert any(branch(c) for v in lasts for c in v)
+def lex_sign(v) -> int:
+    """The sign of the first nonzero entry of v; 0 for the zero vector."""
+    return next((1 if x > 0 else -1 for x in v if x), 0)
 
 
 class TestStructure:
@@ -458,35 +454,35 @@ class TestStructure:
 def reference_cones(cf):
     """(r, M, pieces) per basis B of cf, built once per form: r the lcm of
     the denominators of B^-1, taken by the Fraction solve (solve_square),
-    M = r * B^-1 over int, and per piece on B its (M.offset, M.offset mod r,
-    Fraction polynomial)."""
+    M = r * B^-1 over int, and pieces mapping each residue M.offset mod r
+    to the (M.offset, int numerators) of the pieces on B with it."""
     cones = {}
-    for p in cf.pieces:
-        if p.basis not in cones:
-            s = len(p.basis)
-            cols = [solve_square(p.basis, tuple(int(i == k) for i in range(s))) for k in range(s)]
+    for basis, offset, poly in cf.numerators:
+        if basis not in cones:
+            s = len(basis)
+            cols = [solve_square(basis, tuple(int(i == k) for i in range(s))) for k in range(s)]
             r = math.lcm(*(f.denominator for col in cols for f in col))
-            cones[p.basis] = (r, [tuple(int(col[i] * r) for col in cols) for i in range(s)], [])
-        r, M, pieces = cones[p.basis]
-        low = tuple(dot(row, p.offset) for row in M)
-        pieces.append((low, tuple(x % r for x in low), p.poly))
+            cones[basis] = (r, [tuple(int(col[i] * r) for col in cols) for i in range(s)], {})
+        r, M, pieces = cones[basis]
+        low = tuple(dot(row, offset) for row in M)
+        pieces.setdefault(tuple(x % r for x in low), []).append((low, tuple(poly.items())))
     return tuple(cones.values())
 
 
 def reference_value(cf, a) -> Fraction:
-    """The closed form at a by the reference path: the sum of the Fraction
-    polynomials of the pieces whose cone holds a, every piece tested on its
-    own.  a lies on offset + N*B iff M.a - M.offset is a nonnegative
-    multiple of r coordinatewise (see reference_cones); M.a is computed once
-    per basis and point."""
-    total = Fraction(0)
+    """The closed form at a by the reference path: the sum of the
+    polynomials of the pieces whose cone holds a, every piece tested and
+    evaluated on its own, over the form's denominator.  a lies on
+    offset + N*B iff M.a - M.offset is a nonnegative multiple of r
+    coordinatewise (see reference_cones); M.a is computed once per basis
+    and point."""
+    total = 0
     for r, M, pieces in reference_cones(cf):
         u = tuple(dot(row, a) for row in M)
-        residue = tuple(x % r for x in u)
-        for low, low_residue, poly in pieces:
-            if low_residue == residue and all(x >= y for x, y in zip(u, low)):
-                total += poly.evaluate(a)
-    return total
+        for low, poly in pieces.get(tuple(x % r for x in u), ()):
+            if all(x >= y for x, y in zip(u, low)):
+                total += sum(n * math.prod(x ** k for x, k in zip(a, e)) for e, n in poly)
+    return Fraction(total, cf.denominator)
 
 
 def far_point(X, coeffs):
@@ -518,9 +514,10 @@ def corpus_points(draw):
 
 
 class TestCompiledEvaluator:
-    """eval_closed and eval_closed_box evaluate a compiled form (residue
-    buckets per basis, int numerators over one denominator); they must equal
-    the reference sum over the pieces whose cone holds the point exactly."""
+    """eval_closed and eval_closed_box evaluate a compiled form (per basis
+    and residue one total of int numerators over one denominator, counted
+    where alpha + eps*v lies in the basis's cone); they must equal the
+    reference sum over the pieces whose cone holds the point exactly."""
 
     @settings(max_examples=300, deadline=None)
     @given(corpus_points())
@@ -563,29 +560,33 @@ class TestCompiledEvaluator:
         forms += [closed_form_from_json(json.loads(json.dumps(closed_form_to_json(corpus_form(i)))))
                   for i in range(len(CORPUS))]
         for cf in forms:
-            exps, compiled = quasipoly._compile(cf.numerators)
+            exps, compiled = quasipoly._compile(cf.source, cf.numerators)
             polys = {(basis, offset): poly for basis, offset, poly in cf.numerators}
             # the form's exponent tuples, sorted, each once
             assert exps == sorted({e for poly in polys.values() for e in poly})
             assert all(e < f for e, f in zip(exps, exps[1:]))
             # each basis once, in order of first sight, with column_solver's (d, adj)
-            assert [b for b, _, _, _ in compiled] == list(dict.fromkeys(b for b, _ in polys))
-            seen = set()
-            for basis, d, adj, buckets in compiled:
+            bases = list(dict.fromkeys(b for b, _ in polys))
+            assert len(compiled) == len(bases)
+            v = tuple(map(sum, zip(*cf.source)))
+            for basis, (d, adj, floor, totals) in zip(bases, compiled):
                 assert (d, adj, ()) == column_solver(basis)
-                for key, entries in buckets.items():
-                    for low, offset, coeffs in entries:
-                        # each piece once, keyed by adj.offset mod d, with its own offset
-                        assert low == tuple(sum(r * x for r, x in zip(row, offset)) for row in adj)
-                        assert key == tuple(x % d for x in low)
-                        assert (basis, offset) not in seen
-                        seen.add((basis, offset))
-                        # its numerators at exps, 0 elsewhere
-                        poly = polys[(basis, offset)]
-                        assert len(coeffs) == len(exps)
-                        assert {e: n for e, n in zip(exps, coeffs) if n} == poly, (basis, offset)
-                        assert all(type(n) is int for n in coeffs)
-            assert seen == set(polys)
+                # 1 exactly where the direction sum X, tie-broken by the unit
+                # vectors in order, pairs negatively with the adjugate row
+                assert floor == tuple(int(lex_sign((dot(row, v), *row)) < 0) for row in adj)
+                # per residue adj.offset mod d, the sum of its pieces' numerators at exps
+                want = {}
+                for (b, offset), poly in polys.items():
+                    if b == basis:
+                        key = tuple(dot(row, offset) % d for row in adj)
+                        total = want.setdefault(key, {})
+                        for e, n in poly.items():
+                            total[e] = total.get(e, 0) + n
+                assert set(totals) == set(want)
+                for key, coeffs in totals.items():
+                    assert len(coeffs) == len(exps)
+                    assert all(type(n) is int for n in coeffs)
+                    assert dict(zip(exps, coeffs)) == {e: want[key].get(e, 0) for e in exps}
 
     def test_matches_reference_on_cone_boundaries(self):
         # each piece's apex, and one basis vector below it, on every pinned form:
@@ -623,6 +624,72 @@ class TestCompiledEvaluator:
         # the counters see a product once one is made
         assert Fraction(1, 2) * 3 == 3 * Fraction(1, 2)
         assert {"__new__", "__mul__", "__rmul__"} <= set(calls)
+
+
+def boundary_points(X, reach):
+    """Points on and beside the cone walls of X: k*x for each x in X and
+    k = 0 .. reach, each moved by every vector of {-1, 0, 1}^s, and the
+    negatives of all of them, which lie outside cone(X) but for the origin."""
+    s = len(X[0])
+    near = set()
+    for x in X:
+        for k in range(reach + 1):
+            for e in itertools.product((-1, 0, 1), repeat=s):
+                p = tuple(k * c + n for c, n in zip(x, e))
+                near |= {p, tuple(-c for c in p)}
+    return sorted(near)
+
+
+def wall_box(X):
+    """A box around the origin that every ray of X crosses: [-3, 6]^s, or
+    [-2, 4]^3 in dimension 3."""
+    s = len(X[0])
+    return (-3 if s < 3 else -2,) * s, (6 if s < 3 else 4,) * s
+
+
+class TestChamberRule:
+    """Both evaluators count a basis's total at alpha iff alpha + eps*v lies
+    in its cone, v = sum X plus ever smaller multiples of the unit vectors:
+    adj_i.alpha > 0, or adj_i.alpha == 0 and adj_i pairs positively with v.
+    That tie-break is what makes the rule exact on the walls and at the
+    origin; these tests pin it against the per-piece reference."""
+
+    def test_matches_reference_on_walls_of_pinned_forms(self):
+        for label, X, _, cf in pinned_forms():
+            lo, hi = wall_box(X)
+            want = {a: int(n) for a in box_points(lo, hi) if (n := reference_value(cf, a))}
+            assert eval_closed_box(cf, lo, hi) == want, label
+            for a in boundary_points(X, 3):
+                assert eval_closed(cf, a) == reference_value(cf, a), (label, a)
+
+    def test_matches_reference_on_walls_of_d59(self):
+        cf = d59_form()
+        lo, hi = (-6, -6), (12, 12)
+        want = {a: int(n) for a in box_points(lo, hi) if (n := reference_value(cf, a))}
+        assert eval_closed_box(cf, lo, hi) == want
+        for a in boundary_points(D59, 4):
+            assert eval_closed(cf, a) == reference_value(cf, a), a
+
+    def test_another_interior_direction_gives_the_same_counts(self, monkeypatch):
+        # sum k*x_k also lies inside cone(X), in another chamber for some
+        # forms; fresh instances compile under it
+        forms = [(X, cf) for _, X, _, cf in pinned_forms()] + [(D59, d59_form())]
+        before = {}
+        for X, cf in forms:
+            lo, hi = wall_box(X)
+            before[X] = (cf._compiled[1], eval_closed_box(cf, lo, hi),
+                         [eval_closed(cf, a) for a in boundary_points(X, 3)])
+        monkeypatch.setattr(quasipoly, "_interior", lambda source: tuple(
+            sum(k * x[j] for k, x in enumerate(source, 1)) for j in range(len(source[0]))))
+        moved = 0
+        for X, cf in forms:
+            fresh = ClosedForm(cf.source, cf.denominator, cf.numerators)
+            lo, hi = wall_box(X)
+            compiled, box, points = before[X]
+            moved += [f for _, _, f, _ in fresh._compiled[1]] != [f for _, _, f, _ in compiled]
+            assert eval_closed_box(fresh, lo, hi) == box, X
+            assert [eval_closed(fresh, a) for a in boundary_points(X, 3)] == points, X
+        assert moved >= 10
 
 
 def corrupted(cf, k, factor):
