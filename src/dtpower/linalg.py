@@ -14,7 +14,7 @@ the one test of a point against the cone of columns that column_solver
 solved (independent_count, the recursion's base case and
 support_membership), and int_range, the one clip of an integer range by
 rows a * v <= r (a box line of eval_closed_box to a basis's chamber, and
-the brute walk's line at the last vector).
+each multiplier of the brute walk to the box).
 """
 
 from __future__ import annotations
@@ -220,8 +220,9 @@ def cone_count(solved, u: Vec) -> int:
     if solved is None:
         return 0
     d, adj, null = solved
-    if any(sum(map(mul, row, u)) for row in null):
-        return 0  # u is outside the span of the columns
+    for row in null:
+        if sum(map(mul, row, u)):
+            return 0  # u is outside the span of the columns
     for row in adj:
         num = sum(map(mul, row, u))
         if num < 0 or num % d:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from dtpower import toric
+from dtpower import engines, toric
 from dtpower.expalg import laplace_generating, spot_check
 from dtpower.linalg import column_solver, pointedness_certificate, rank
 
@@ -104,6 +104,30 @@ def pointed_systems(draw):
     X = draw(st.lists(vector, min_size=n, max_size=n))
     assume(rank(X) == s and pointedness_certificate(X) is not None)
     return X
+
+
+# EX2's closed counts over the box [-2, 4]^2 with three faults: one count
+# off by one, a spurious count outside cone(X) and a point left out.  The
+# mismatches cross_check must list for them, in box order.
+EX2_FAULTS = [((-1, -1), 0, 0, 5), ((0, 4), 3, 3, 0), ((2, 2), 2, 2, 3)]
+
+
+@pytest.fixture
+def corrupted_closed(monkeypatch):
+    """engines.eval_closed_box with EX2_FAULTS put in; returns EX2_FAULTS."""
+    real = engines.eval_closed_box
+
+    def corrupted(cf, lo, hi):
+        counts = real(cf, lo, hi)
+        for p, _, _, c in EX2_FAULTS:
+            if c:
+                counts[p] = c
+            else:
+                del counts[p]
+        return counts
+
+    monkeypatch.setattr(engines, "eval_closed_box", corrupted)
+    return EX2_FAULTS
 
 
 @pytest.fixture(scope="session")

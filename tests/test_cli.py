@@ -133,6 +133,12 @@ class TestVerify:
         code, _, err = run(["verify", "--box", "5"], EX1_TEXT, tmp_path, capsys)
         assert code == 2 and "box" in err
 
+    def test_mismatches_exit_3(self, corrupted_closed, tmp_path, capsys):
+        code, out, _ = run(["verify", "--box=-2:4"], EX2_TEXT, tmp_path, capsys)
+        assert code == 3
+        assert out.splitlines() == ["FAIL: 49 points, 3 mismatches"] + [
+            f"  at {p}: brute={b} recursion={r} closed={c}" for p, b, r, c in corrupted_closed]
+
 
 class TestBench:
     def test_reports_three_engines(self, tmp_path, capsys):

@@ -54,15 +54,15 @@ def unclipped_box(X, lo, hi):
 
 @st.composite
 def brute_boxes(draw):
-    """(X, lo, hi): a small pointed system or a seeded corpus system of
-    dimension <= 2, and a box that is random, a single point, with a far
+    """(X, lo, hi): a small pointed system, a seeded corpus system or
+    stress B, and a box that is random, a single point, with a far
     negative lower corner, or wholly below the cone (every corner pairs
     negatively with the certificate, so the cap is negative)."""
-    X = draw(st.one_of(pointed_systems(), st.sampled_from([X for X in CORPUS if len(X[0]) <= 2])))
+    X = draw(st.one_of(pointed_systems(), st.sampled_from(CORPUS + [STRESS_B])))
     s = len(X[0])
     kind = draw(st.sampled_from(["random", "single", "negative", "below"]))
     lo = tuple(draw(st.integers(-6, 6)) for _ in range(s))
-    hi = lo if kind == "single" else tuple(l + draw(st.integers(0, {1: 20, 2: 6}[s])) for l in lo)
+    hi = lo if kind == "single" else tuple(l + draw(st.integers(0, {1: 20, 2: 6, 3: 3}[s])) for l in lo)
     if kind == "negative":
         lo = tuple(l - draw(st.integers(1, 12)) for l in lo)
     if kind == "below":
@@ -103,6 +103,12 @@ class TestBruteForce:
     @example(([(0, 1), (2, -1)], (-4, -4), (4, 4)))
     @example((EX1, (7,), (7,)))
     @example((EX2, (-9, -9), (-5, -2)))
+    # a column of mixed sign after the first vector and of one sign after
+    # the second: only lowered, only raised, and all three columns of
+    # stress B
+    @example(([(1, 0), (1, 1), (1, -1)], (0, 2), (6, 4)))
+    @example(([(1, 0), (1, -1), (1, 1)], (0, -4), (6, -2)))
+    @example((STRESS_B, (-3, -3, -3), (0, 0, 0)))
     def test_clipped_box_equals_unclipped_enumeration(self, case):
         X, lo, hi = case
         assert brute_force_box(X, lo, hi) == unclipped_box(X, lo, hi)
@@ -123,6 +129,19 @@ class TestBruteForce:
         with pytest.raises(BudgetError, match="11 nodes"):
             brute_force_count(X, (10,))
         assert not issubclass(BudgetError, InvariantError)
+
+    @pytest.mark.parametrize("X,lo,hi,nodes", [
+        # clipped at the last vector only, the walks took 56 and 42 nodes
+        (STRESS_B, (-3, -3, -3), (6, 6, 6), 55),
+        ([(1, 0), (1, 1), (1, -1)], (0, 2), (6, 4), 29),
+    ])
+    def test_level_clip_node_count_is_inclusive(self, X, lo, hi, nodes, monkeypatch):
+        want = unclipped_box(X, lo, hi)
+        monkeypatch.setattr(engines, "NODE_BUDGET", nodes)
+        assert brute_force_box(X, lo, hi) == want
+        monkeypatch.setattr(engines, "NODE_BUDGET", nodes - 1)
+        with pytest.raises(BudgetError, match=f"{nodes - 1} nodes"):
+            brute_force_box(X, lo, hi)
 
     def test_node_budget_stops_a_line_before_walking_it(self, monkeypatch):
         # a line of 100,001 points counts as a whole: the walk raises before
@@ -187,6 +206,11 @@ class TestRecursion:
     def test_single_vector(self):
         assert dm_count([(3, 1)], (3, 1)) == 1
         assert dm_count([(3, 1)], (1, 1)) == 0
+
+    @pytest.mark.parametrize("alpha", [(4,), (4, 0, 0)])
+    def test_point_of_another_dimension_rejected(self, alpha):
+        with pytest.raises(ValueError, match=f"dimension mismatch: 2 vs {len(alpha)}"):
+            DMContext(EX2).count(alpha)
 
     def test_agrees_with_brute_force(self):
         ctx = DMContext(EX2)
@@ -383,6 +407,12 @@ class TestCrossCheck:
     def test_independent_all_ones(self):
         report = cross_check([(1, 0), (0, 1)], (0, 0), (3, 3), seed=0)
         assert report.ok
+
+    def test_mismatches_are_listed_in_box_order(self, corrupted_closed):
+        report = cross_check(EX2, (-2, -2), (4, 4))
+        assert not report.ok
+        assert report.mismatches == corrupted_closed
+        assert report.totals == dict.fromkeys(("brute", "recursion", "closed"), 49)
 
     def test_reduces_once(self, monkeypatch):
         calls = []

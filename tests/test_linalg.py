@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import D59, pinned_inputs
-from dtpower.linalg import (IntegerRelation, column_solver, dot, int_range,
+from dtpower.linalg import (IntegerRelation, column_solver, cone_count, dot, int_range,
                             integer_relation, orth_complement,
                             pointedness_certificate, rank, solve_columns,
                             solve_square)
@@ -142,6 +142,30 @@ class TestColumnSolver:
 
     def test_square_case_has_no_null_rows(self):
         assert column_solver(((2, 1), (1, 3))) == (5, ((3, -1), (-1, 2)), ())
+
+
+class TestConeCount:
+    def test_dependent_columns_count_nothing(self):
+        assert cone_count(None, (0, 0)) == 0
+
+    def test_columns_short_of_the_dimension(self):
+        # (1, 1, 0) and (1, -1, 0) in Z^3: d = 2 and one null row
+        solved = column_solver(((1, 1, 0), (1, -1, 0)))
+        assert len(solved[2]) == 1
+        assert cone_count(solved, (2, 0, 1)) == 0  # off the span
+        assert cone_count(solved, (1, 0, 0)) == 0  # (1/2, 1/2)
+        assert cone_count(solved, (0, 2, 0)) == 0  # (1, -1)
+        assert cone_count(solved, (3, 1, 0)) == 1  # (2, 1)
+        assert cone_count(solved, (0, 0, 0)) == 1
+
+    def test_square_basis(self):
+        # (2, 1) and (0, 3): d = 6 and no null row
+        solved = column_solver(((2, 1), (0, 3)))
+        assert solved[0] == 6 and solved[2] == ()
+        assert cone_count(solved, (2, 4)) == 1  # (1, 1)
+        assert cone_count(solved, (4, 5)) == 1  # (2, 1)
+        assert cone_count(solved, (1, 0)) == 0  # (1/2, -1/6)
+        assert cone_count(solved, (2, -2)) == 0  # (1, -1)
 
 
 class TestIntRange:
