@@ -82,8 +82,7 @@ def brute_force_box(X, lo: Vec, hi: Vec) -> dict[Vec, int]:
     s = len(X[0])
     if len(lo) != s or len(hi) != s:
         raise ValueError(f"box corners {tuple(lo)} and {tuple(hi)} do not have dimension {s}")
-    xs = _scaled_certificate(X)
-    weights = [dot(xs, a) for a in X]
+    xs, weights = _scaled_certificate(X)
     cap = sum(max(x * l, x * h) for x, l, h in zip(xs, lo, hi))
     n = len(X)
     # per level, the coordinates that every later vector can only raise and
@@ -127,12 +126,14 @@ def _over_node_budget() -> BudgetError:
     return BudgetError(f"the brute enumeration would pass its budget of {NODE_BUDGET:,} nodes")
 
 
-def _scaled_certificate(X) -> Vec:
-    """X's pointedness certificate, PointedCertificate.scaled; ValueError if none."""
+def _scaled_certificate(X) -> tuple[Vec, list[int]]:
+    """(xs, weights): X's pointedness certificate as PointedCertificate.scaled
+    gives it, and its pairing with each vector of X; ValueError if none."""
     cert = pointedness_certificate(X)
     if cert is None:
         raise ValueError("system is not pointed")
-    return cert.scaled()[0]
+    xs = cert.scaled()[0]
+    return xs, [dot(xs, a) for a in X]
 
 
 def independent_count(A, alpha) -> int:
@@ -167,8 +168,7 @@ class DMContext:
 
     def __init__(self, X):
         self.X = [tuple(a) for a in X]
-        self.xs = _scaled_certificate(self.X)
-        self.weights = [dot(self.xs, a) for a in self.X]
+        self.xs, self.weights = _scaled_certificate(self.X)
         # longest prefix that is still linearly independent: recursion base
         k = 0
         while k < len(self.X) and column_solver(tuple(self.X[:k + 1])) is not None:

@@ -12,7 +12,8 @@ The reduction builds its numerators as packed Laurents (see toric), so the
 sum algebra here, make_sum, add, mul, monomial and geometric_factor, is off
 the build path: it is the reference the tests check the reduction against.
 The build uses the term types, make_term (through laplace_generating) and
-the numeric spot check, placed by linalg's memoised pointedness certificate.
+the numeric spot check, each point one seeded draw around linalg's
+memoised pointedness certificate.
 """
 
 from __future__ import annotations
@@ -161,15 +162,17 @@ def dot_f(v, x) -> float:
 def random_generic_point(vectors, seed) -> tuple[float, ...]:
     """Deterministic point x with <a,x> >= 0.1 for every listed vector.
 
-    Built from the pointedness certificate plus a small seeded perturbation;
-    pairings are kept inside [0.1, 5] for comfortable float evaluation.
+    The pointedness certificate xi scaled by t = max(0.15, min(1, 4 /
+    max<xi,a>)), plus one seeded perturbation moving each pairing by at
+    most 0.05*t: as <xi,a> >= 1, every pairing lies in
+    [0.95*t, 1.05*t*max<xi,a>], at least 0.1425.
     """
     return _generic_points(vectors, [seed])[0]
 
 
 def _generic_points(vectors, seeds) -> list[tuple[float, ...]]:
     """random_generic_point(vectors, seed) for each seed, all from one
-    pointedness certificate of vectors."""
+    pointedness certificate of vectors: one draw per seed."""
     vectors = [tuple(v) for v in vectors]
     cert = pointedness_certificate(vectors)
     if cert is None:
@@ -177,27 +180,9 @@ def _generic_points(vectors, seeds) -> list[tuple[float, ...]]:
     xi = [float(c) for c in cert.xi]
     big = max(float(cert.pairing(a)) for a in vectors)
     t = max(0.15, min(1.0, 4.0 / big))
-    span = max(sum(abs(c) for c in a) for a in vectors)
-    points = []
-    for seed in seeds:
-        rng = random.Random(seed)
-        eps = 0.05 * t / span
-        fallback = None
-        for _ in range(50):
-            x = tuple(t * c + rng.uniform(-eps, eps) for c in xi)
-            pairings = [dot_f(a, x) for a in vectors]
-            if min(pairings) >= 0.1:
-                if max(pairings) <= 5.0:
-                    break
-                fallback = fallback or x
-            eps /= 2
-        else:
-            if fallback is None:
-                raise RuntimeError("could not place a generic point for this system")
-            # certificate forces a wide pairing spread; lower bound still holds
-            x = fallback
-        points.append(x)
-    return points
+    eps = 0.05 * t / max(sum(abs(c) for c in a) for a in vectors)
+    return [tuple(t * c + rng.uniform(-eps, eps) for c in xi)
+            for rng in map(random.Random, seeds)]
 
 
 def spot_check(got, want, X, seed: int = 0) -> None:

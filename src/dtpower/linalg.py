@@ -1,13 +1,13 @@
 """Exact rational linear algebra for small dense integer systems.
 
 Everything works over Python ints and fractions.Fraction; no floats enter
-any computation here.  Vectors are plain tuples of ints.  rank,
-column_solver and integer_relation share one fraction-free elimination over
-int (_bareiss); solve_columns is the Fraction reference they are tested
-against.  column_solver, cached, answers every question about a basis, its
-determinant, adjugate and orth_complement's normals.  The cached
-pointedness_certificate eliminates over int rows too, each divided by its
-gcd, and makes Fractions only to back-substitute xi.
+any computation here.  Vectors are plain tuples of ints.  rank (for
+check_system only) and column_solver share one fraction-free elimination
+over int (_bareiss); solve_columns is the Fraction reference.  column_solver,
+cached, decides each fact about a basis once: independence, determinant,
+adjugate; integer_relation and square_solver, the one invertible-basis
+check, read it.  The cached pointedness_certificate eliminates over int
+rows too, each divided by its gcd, and makes Fractions only for xi.
 
 Two more kernels are shared by the engines and the evaluators: cone_count,
 the one test of a point against the cone of columns that column_solver
@@ -148,17 +148,25 @@ def integer_relation(basis, target):
 
 def orth_complement(basis, i: int) -> Vec:
     """Primitive integer vector orthogonal to all basis vectors except basis[i]:
-    column_solver's adjugate row i divided by its gcd.
+    square_solver's adjugate row i divided by its gcd.
 
-    basis must be s invertible columns (ValueError otherwise); the returned
-    w satisfies <w, basis[j]> == 0 for j != i and <w, basis[i]> > 0, with
-    content 1.  Index i is 0-based.
+    basis must be s invertible columns (square_solver's ValueError
+    otherwise); the returned w satisfies <w, basis[j]> == 0 for j != i and
+    <w, basis[i]> > 0, with content 1.  Index i is 0-based.
     """
+    row = square_solver(basis)[1][i]
+    g = gcd(*row)
+    return tuple(c // g for c in row)
+
+
+def square_solver(basis) -> tuple[int, tuple[Vec, ...]]:
+    """column_solver's (d, adj) of s invertible columns of dimension s:
+    d = |det| and adj[i] / d is row i of the inverse.  ValueError("singular
+    basis") for dependent columns or fewer than s of them."""
     solved = column_solver(tuple(map(tuple, basis)))
     if solved is None or solved[2]:
-        raise ValueError("basis is singular")
-    g = gcd(*solved[1][i])
-    return tuple(c // g for c in solved[1][i])
+        raise ValueError("singular basis")
+    return solved[:2]
 
 
 def _bareiss(rows, ncols: int) -> tuple[int, int]:

@@ -34,7 +34,7 @@ access, for the tests and the benchmark.
 The evaluators do not test the pieces one by one; they use the chamber
 theorem of Dahmen-Micchelli (1988) and Brion-Vergne (1997).  For a basis B
 of the form and a residue r of adj.alpha mod d, (d, adj) from
-linalg.column_solver, let T_B[r] be the sum of the pieces on B whose
+linalg.square_solver, let T_B[r] be the sum of the pieces on B whose
 offsets have that residue.  Then at every lattice point
 
     t_X(alpha) = sum over B with alpha + eps*v in cone(B) of
@@ -75,7 +75,7 @@ from operator import add, ge, mul
 
 from .errors import InvariantError
 from .expalg import ExpRatTerm
-from .linalg import (Vec, column_solver, cone_count, dot, int_range, orth_complement, scale,
+from .linalg import (Vec, cone_count, dot, int_range, orth_complement, scale, square_solver,
                      vadd, vsub)
 from .toric import ReducedForm, toric_reduce
 
@@ -167,9 +167,10 @@ def _compile(source, numerators) -> tuple[list[Vec], list]:
     """A form's int numerators arranged for evaluation: (exps, bases).  exps
     is the sorted list of the form's distinct exponent tuples.  bases holds
     (d, adj, floor, totals) once per basis, in order of first sight, with
-    (d, adj) = _solver(basis).  totals maps each residue tuple(adj.offset mod
-    d) to the sum of the coeffs of its pieces, coeffs a piece's numerators
-    as a dense tuple over exps, 0 where the piece has no such monomial.
+    (d, adj) = linalg.square_solver(basis).  totals maps each residue
+    tuple(adj.offset mod d) to the sum of the coeffs of its pieces, coeffs
+    a piece's numerators as a dense tuple over exps, 0 where the piece has
+    no such monomial.
     floor[i] is 0 when adj_i pairs positively with the direction
     v = _interior(source) + eps*e_1 + eps^2*e_2 + ..., that is when
     (adj_i.v_0, *adj_i) is lexicographically positive, and 1 otherwise; so
@@ -182,7 +183,7 @@ def _compile(source, numerators) -> tuple[list[Vec], list]:
     bases: dict[tuple, tuple] = {}
     for basis, offset, poly in numerators:
         if basis not in bases:
-            d, adj = _solver(basis)
+            d, adj = square_solver(basis)
             floor = tuple([int((sum(map(mul, row, v)), *row) < zero) for row in adj])
             bases[basis] = (d, adj, floor, {})
         d, adj, _, totals = bases[basis]
@@ -205,17 +206,9 @@ def _monomials(exps, alpha) -> list[int]:
     return [prod(map(pow, alpha, e)) for e in exps]
 
 
-def _solver(basis) -> tuple[int, tuple[Vec, ...]]:
-    """column_solver's (d, adj) of a cone basis, which must be invertible."""
-    solved = column_solver(tuple(map(tuple, basis)))
-    if solved is None or solved[2]:
-        raise ValueError("singular basis")
-    return solved[:2]
-
-
 def support_membership(basis, offset: Vec, alpha: Vec) -> bool:
     """True iff alpha lies on offset + N*basis[0] + ... + N*basis[s-1]."""
-    d, adj = _solver(basis)
+    d, adj = square_solver(basis)
     if len(alpha) != len(adj) or len(offset) != len(adj):
         raise ValueError(f"point and offset must have the basis's dimension {len(adj)}")
     return bool(cone_count((d, adj, ()), vsub(tuple(alpha), tuple(offset))))

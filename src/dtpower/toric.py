@@ -5,7 +5,8 @@ denominator vectors form a linearly independent s-subset of the positive
 integer multiples of X.  The rewrite folds one vector at a time; a dependent
 vector is absorbed through a telescoping split of 1 - e^{-<m*a,x>} into the
 existing factors followed by a partial-fraction pass that eliminates one of
-them.
+them.  linalg.integer_relation alone decides dependence: no relation
+means independent.
 
 The working sum is grouped by denominator, the short rational form of
 Barvinok and LattE: it maps each denominator, a sorted tuple of
@@ -51,7 +52,7 @@ from itertools import combinations
 from .errors import BudgetError, InvariantError
 from .expalg import DenomFactor, ExpMonomial, ExpRatSum, ExpRatTerm
 from .linalg import (IntegerRelation, Vec, check_system, column_solver,
-                     integer_relation, is_zero, rank, scale, vadd)
+                     integer_relation, is_zero, scale, vadd)
 
 Factor = tuple[Vec, int]            # (vector, power): (1 - e^{-<vector,x>})^power
 Denom = tuple[Factor, ...]          # sorted by vector, each vector once
@@ -183,7 +184,8 @@ def partial_fraction(y0: Factor, gammas, denom: Denom) -> Grouped:
 @lru_cache(maxsize=4096)
 def _absorption_data(denom: Denom, a: Vec) -> tuple[tuple, tuple[tuple[Denom, tuple, int], ...]] | None:
     """1 / (denom * (1 - e^{-<a,x>})) for a not among denom's vectors, as
-    (beta, groups); None when a is independent of denom's vectors.
+    (beta, groups); None when integer_relation finds none: a is then
+    independent of denom's vectors, themselves independent.
 
     With y0 = 1 - e^{-<m*a,x>} = beta * (1 - e^{-<a,x>}), the partial
     fractions of 1 / (denom * y0) are the (denominator, numerator, floor)
@@ -197,13 +199,11 @@ def _absorption_data(denom: Denom, a: Vec) -> tuple[tuple, tuple[tuple[Denom, tu
     coefficient passes TERM_BUDGET: beta and the gammas carry one term per
     unit of them, built before any cap of a fold step can be checked."""
     vecs = [v for v, _ in denom]
-    if rank(vecs + [a]) == len(vecs) + 1:
+    rel = integer_relation(vecs, a)
+    if rel is None:
         return None
     if sum(p for _, p in denom) >= MAX_POWER:
         raise BudgetError(f"a denominator's power reaches the packed-shift bound of {MAX_POWER:,}")
-    rel = integer_relation(vecs, a)
-    if rel is None:
-        raise InvariantError(f"{a} is outside the span of the denominators {vecs}")
     if max(rel.multiplier, *map(abs, rel.coefficients)) > TERM_BUDGET:
         raise BudgetError(f"absorbing {a} needs a relation coefficient past the budget of {TERM_BUDGET:,} terms")
     kept = [(m, v) for m, v in zip(rel.coefficients, vecs) if m != 0]
@@ -407,7 +407,7 @@ def assert_reduced_invariants(rf: ReducedForm) -> None:
         vecs = [v for v, _ in denom]
         if len(vecs) != s:
             raise InvariantError(f"term has {len(vecs)} denominators, expected {s}")
-        if rank(vecs) != s:
+        if column_solver(tuple(vecs)) is None:
             raise InvariantError("dependent denominator vectors")
         power = sum(p for _, p in denom)
         if power != n:

@@ -1,8 +1,10 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 
+from conftest import D59, pinned_inputs, random_pointed_systems
 from dtpower import expalg
 from dtpower.errors import InvariantError
 from dtpower.expalg import (DenomFactor, SingularPoint, add, eval_numeric,
@@ -129,6 +131,20 @@ class TestGenericPoint:
     def test_unpointed_rejected(self):
         with pytest.raises(ValueError):
             random_generic_point([(1,), (-1,)], seed=0)
+
+    def test_one_draw_pairs_at_least_a_tenth(self):
+        # the pinned inputs, D59 and three systems whose certificates pair
+        # up to 31, 31 and 62 with a vector, so t is at its floor 0.15 and
+        # the last one's points pair past 5; the digest pins the points
+        wide = random_pointed_systems(count=200, seed=7, det_cap=60)
+        systems = [X for _, X in pinned_inputs()] + [D59] + [wide[i] for i in (14, 157, 176)]
+        points = [[random_generic_point(X, seed) for seed in range(8)] for X in systems]
+        for X, xs in zip(systems, points):
+            for x in xs:
+                assert min(expalg.dot_f(a, x) for a in X) >= 0.1
+        assert max(expalg.dot_f(a, x) for a in systems[-1] for x in points[-1]) > 5
+        assert hashlib.sha256(repr(points).encode()).hexdigest() == (
+            "7c21deb6185b8623bc78ef17f7ee0da879a1527f3e3e6db4f2221ac8071f859c")
 
 
 class TestSpotCheck:

@@ -11,7 +11,7 @@ from conftest import D59, pinned_inputs
 from dtpower.linalg import (IntegerRelation, column_solver, cone_count, dot, int_range,
                             integer_relation, orth_complement,
                             pointedness_certificate, rank, solve_columns,
-                            solve_square)
+                            solve_square, square_solver)
 
 FEW = settings(max_examples=80, deadline=None)
 
@@ -208,12 +208,15 @@ class TestOrthComplement:
             assert gcd(*w) == 1
 
     def test_matches_fraction_inverse_row(self):
-        # row i of B^-1, solving B^T w = e_i over Fraction, made primitive
+        # row i of B^-1, solving B^T w = e_i over Fraction, made primitive:
+        # 40 bases of one stream and one basis each of seeds 400 to 419
         rng = random.Random(500)
-        for _ in range(40):
-            basis = _random_basis(rng, rng.randint(1, 4))
-            s = len(basis)
-            for i in range(s):
+        bases = [_random_basis(rng, rng.randint(1, 4)) for _ in range(40)]
+        for seed in range(400, 420):
+            rng = random.Random(seed)
+            bases.append(_random_basis(rng, rng.randint(1, 4)))
+        for basis in bases:
+            for i in range(len(basis)):
                 assert orth_complement(basis, i) == _primitive_inverse_row(basis, i)
 
     @pytest.mark.parametrize("basis", [[(1, 2), (2, 4)], [(1, 0, 0), (0, 1, 0)]])
@@ -252,6 +255,21 @@ class TestDetAdj:
 
     def test_singular_returns_none(self):
         assert column_solver(((1, 2), (2, 4))) is None
+
+    def test_square_solver_is_det_and_adjugate(self):
+        rng = random.Random(600)
+        for _ in range(20):
+            basis = _random_basis(rng, rng.randint(1, 4))
+            d, adj = square_solver([list(b) for b in basis])
+            assert (d, adj, ()) == column_solver(basis)
+            assert [[dot(row, b) for b in basis] for row in adj] == [
+                [d * (i == j) for j in range(len(basis))] for i in range(len(basis))]
+
+    @pytest.mark.parametrize("basis", [[(1, 2), (2, 4)], [(1, 0, 0), (0, 1, 0)],
+                                       [(1, 0), (0, 1), (1, 1)]])
+    def test_square_solver_rejects_singular_basis(self, basis):
+        with pytest.raises(ValueError, match="singular basis"):
+            square_solver(basis)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_adjugate_solves(self, seed):

@@ -16,7 +16,7 @@ from dtpower.expalg import (DenomFactor, ExpRatSum, add, eval_numeric,
                             make_term, monomial, mul, random_generic_point,
                             spot_check)
 from dtpower.errors import InvariantError
-from dtpower.linalg import IntegerRelation, integer_relation, rank
+from dtpower.linalg import IntegerRelation, integer_relation
 from dtpower.quasipoly import closed_form
 from dtpower.toric import (ReducedForm, absorb_vector, assert_reduced_invariants,
                            expand_dependent, partial_fraction, toric_reduce)
@@ -269,21 +269,21 @@ class TestAbsorbVector:
             absorb_vector(term, (0,))
 
     def test_independence_decided_once_per_denominator(self, monkeypatch):
-        # many terms share a denominator; rank runs once per (denominator,
-        # vector) absorbed, plus once per distinct final denominator in the
-        # invariant check
+        # many terms share a denominator; integer_relation decides
+        # dependence once per (denominator, vector) absorbed, and nothing
+        # else in toric asks it
         calls = []
 
-        def counting_rank(X):
-            calls.append(X)
-            return rank(X)
+        def counting_relation(basis, target):
+            calls.append((basis, target))
+            return integer_relation(basis, target)
 
-        monkeypatch.setattr(toric, "rank", counting_rank)
+        monkeypatch.setattr(toric, "integer_relation", counting_relation)
         toric._absorption_data.cache_clear()
         rf = toric_reduce(((0, -2), (3, -2), (-2, 1), (-2, -1)))
         denominators = {t.denom for t in rf.sum.terms}
         assert len(denominators) < len(rf.sum.terms)
-        assert len(calls) == toric._absorption_data.cache_info().misses + len(denominators)
+        assert len(calls) == toric._absorption_data.cache_info().misses
         toric._absorption_data.cache_clear()
 
     @settings(max_examples=60, deadline=None)
