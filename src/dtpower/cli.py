@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .engines import brute_force_count, cross_check, dm_count
 from .errors import BudgetError, InvariantError
 from .linalg import Vec, check_system
-from .quasipoly import ClosedForm, ConePiece, MultiPoly, closed_form, eval_closed
+from .quasipoly import ClosedForm, _canonical, closed_form, eval_closed
 from .toric import toric_reduce
 
 
@@ -191,11 +191,36 @@ def _ratio(n: int, d: int) -> str:
 
 
 def closed_form_from_json(data: dict) -> ClosedForm:
-    coeffs = {t: Fraction(t) for t in {m["coeff"] for p in data["pieces"] for m in p["poly"]}}
-    pieces = [ConePiece(tuple(tuple(b) for b in p["basis"]), tuple(p["offset"]),
-                        MultiPoly({tuple(m["exponents"]): coeffs[m["coeff"]] for m in p["poly"]}))
-              for p in data["pieces"]]
-    return ClosedForm.from_pieces(data["vectors"], pieces)
+    """The ClosedForm that closed_form_to_json wrote: each distinct
+    coefficient "n" or "n/d" is split into ints once, and the numerators
+    are summed over L, the lcm of the d's, into quasipoly._canonical.
+    ValueError names a coefficient that is not of that form or whose d is
+    0."""
+    ratios = {t: _parse_ratio(t) for t in {m["coeff"] for p in data["pieces"] for m in p["poly"]}}
+    L = lcm(*(d for _, d in ratios.values()))
+    acc: dict[tuple, dict[Vec, int]] = {}
+    for p in data["pieces"]:
+        poly = acc.setdefault((tuple(map(tuple, p["basis"])), tuple(p["offset"])), {})
+        for m in p["poly"]:
+            n, d = ratios[m["coeff"]]
+            e = tuple(m["exponents"])
+            poly[e] = poly.get(e, 0) + n * (L // d)
+    return _canonical(data["vectors"], L, acc)
+
+
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_ratio(text) -> tuple[int, int]:
+    """(n, d) of a coefficient written "n" or "n/d"; ValueError unless it
+    is one, with d > 0."""
+    m = _RATIO.fullmatch(text) if isinstance(text, str) else None
+    if m is None:
+        raise ValueError(f"malformed coefficient {text!r}")
+    n, d = int(m[1]), int(m[2] or 1)
+    if d == 0:
+        raise ValueError(f"coefficient {text!r} has a zero denominator")
+    return n, d
 
 
 def reduced_to_json(rf) -> dict:

@@ -26,8 +26,8 @@ piece's numerators over L, the lcm of the divisors, so pieces that share
 A ClosedForm is those int numerators, per piece (basis, offset,
 {exponents: n}), over one denominator, divided by their gcd: so it is the
 least one, and forms of the same polynomials are == however they were
-built, by closed_form or by ClosedForm.from_pieces from Fraction pieces
-(merge_pieces, and the JSON reader).  The renderers and the JSON writer
+built, by closed_form, by ClosedForm.from_pieces from Fraction pieces
+(merge_pieces) or by the JSON reader.  The renderers and the JSON writer
 read the int form too; pieces, the Fraction view, is built on its first
 access, for the tests and the benchmark.
 
@@ -53,15 +53,18 @@ layout both evaluators read, (exps, bases).  exps is the sorted list of the
 form's distinct exponent tuples, a handful: at most 6 on the seeded corpus,
 every order of the two stress systems and D59.  bases holds one
 (d, adj, floor, totals) entry per basis, totals mapping each residue to
-T_B's int numerators as a dense tuple over exps.  eval_closed takes, per
-basis, u = adj.alpha, the test u >= floor, one lookup and one tuple
-addition; then one dot product with alpha's monomials.  eval_closed_box
-walks the box line by line along the last coordinate: u steps by adj's last
-column, so each basis's test clips the line to one range (linalg.int_range)
-and its residue repeats with a period dividing d.  Neither makes a
-Fraction; the count is checked once per point, as a nonnegative multiple of
-the denominator.  support_membership and MultiPoly.evaluate stay as the
-exact per-piece reference.
+T_B's int numerators as a dense tuple over exps.  The compile walks the
+sorted pieces once per basis, adding each piece's monomials into one list
+per residue, and makes each list a tuple at the end.  eval_closed takes,
+per basis, u = adj.alpha row by row, stopping at the first row below
+floor; a basis that passes costs one lookup and one tuple addition.  Then
+one dot product with alpha's monomials, skipping zero coefficients.
+eval_closed_box walks the box line by line along the last coordinate: u
+steps by adj's last column, so each basis's test clips the line to one
+range (linalg.int_range) and its residue repeats with a period dividing d.
+Neither makes a Fraction; the count is checked once per point, as a
+nonnegative multiple of the denominator.  support_membership and
+MultiPoly.evaluate stay as the exact per-piece reference.
 """
 
 from __future__ import annotations
@@ -69,9 +72,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import groupby, product
 from math import factorial, gcd, lcm, prod
-from operator import add, ge, mul
+from operator import add, itemgetter, mul
 
 from .errors import InvariantError
 from .expalg import ExpRatTerm
@@ -166,32 +169,36 @@ def _canonical(source, L: int, acc: dict[tuple, dict[Vec, int]]) -> ClosedForm:
 def _compile(source, numerators) -> tuple[list[Vec], list]:
     """A form's int numerators arranged for evaluation: (exps, bases).  exps
     is the sorted list of the form's distinct exponent tuples.  bases holds
-    (d, adj, floor, totals) once per basis, in order of first sight, with
-    (d, adj) = linalg.square_solver(basis).  totals maps each residue
-    tuple(adj.offset mod d) to the sum of the coeffs of its pieces, coeffs
-    a piece's numerators as a dense tuple over exps, 0 where the piece has
-    no such monomial.
+    (d, adj, floor, totals) once per run of pieces on one basis, in order,
+    with (d, adj) = linalg.square_solver(basis); _canonical sorts the pieces,
+    so each basis of a form is one run.  totals maps each residue
+    tuple(adj.offset mod d) to the sum of its pieces' numerators as a dense
+    tuple over exps, 0 where no piece has such a monomial: each piece adds
+    its monomials into one list per residue, through exps' index, and each
+    list becomes its tuple once, at the end.
     floor[i] is 0 when adj_i pairs positively with the direction
     v = _interior(source) + eps*e_1 + eps^2*e_2 + ..., that is when
     (adj_i.v_0, *adj_i) is lexicographically positive, and 1 otherwise; so
     alpha + eps*v lies in the open cone of the basis iff adj.alpha >= floor.
     """
     exps = sorted(set().union(*[poly for _, _, poly in numerators]))
-    zeros = [0] * len(exps)
+    index = {e: i for i, e in enumerate(exps)}
     v = _interior(source)
     zero = (0,) * (len(v) + 1)
-    bases: dict[tuple, tuple] = {}
-    for basis, offset, poly in numerators:
-        if basis not in bases:
-            d, adj = square_solver(basis)
-            floor = tuple([int((sum(map(mul, row, v)), *row) < zero) for row in adj])
-            bases[basis] = (d, adj, floor, {})
-        d, adj, _, totals = bases[basis]
-        key = tuple([sum(map(mul, row, offset)) % d for row in adj])
-        coeffs = tuple(map(poly.get, exps, zeros))
-        had = totals.get(key)
-        totals[key] = coeffs if had is None else tuple(map(add, had, coeffs))
-    return exps, list(bases.values())
+    bases = []
+    for basis, run in groupby(numerators, itemgetter(0)):
+        d, adj = square_solver(basis)
+        floor = tuple([int((sum(map(mul, row, v)), *row) < zero) for row in adj])
+        totals: dict[tuple, list[int]] = {}
+        for _, offset, poly in run:
+            key = tuple([sum(map(mul, row, offset)) % d for row in adj])
+            total = totals.get(key)
+            if total is None:
+                total = totals[key] = [0] * len(exps)
+            for e, n in poly.items():
+                total[index[e]] += n
+        bases.append((d, adj, floor, {key: tuple(total) for key, total in totals.items()}))
+    return exps, bases
 
 
 def _interior(source) -> Vec:
@@ -333,10 +340,11 @@ merge_pieces = ClosedForm.from_pieces
 def eval_closed(cf: ClosedForm, alpha) -> int:
     """Exact count at one lattice point; always a nonnegative integer.
 
-    Per basis: u = adj.alpha and the chamber test u >= floor, and for a
-    basis that passes one lookup of its total on the residue u mod d and
+    Per basis, the chamber test adj.alpha >= floor row by row: the first
+    row with adj_i.alpha < floor_i ends it, and a basis that passes looks up
+    its total on the residues of the rows already computed and adds it with
     one tuple addition.  Then one dot product of the sum with alpha's
-    monomials over the form's exponent tuples.
+    monomials, over the exponent tuples whose coefficient is not 0.
     """
     alpha = tuple(alpha)
     if len(alpha) != len(cf.source[0]):
@@ -344,12 +352,21 @@ def eval_closed(cf: ClosedForm, alpha) -> int:
     exps, bases = cf._compiled
     acc = None
     for d, adj, floor, totals in bases:
-        u = [sum(map(mul, row, alpha)) for row in adj]
-        if all(map(ge, u, floor)):
-            hit = totals.get(tuple([x % d for x in u]))
+        key = []
+        for row, f in zip(adj, floor):
+            u = sum(map(mul, row, alpha))
+            if u < f:
+                break
+            key.append(u % d)
+        else:
+            hit = totals.get(tuple(key))
             if hit is not None:
                 acc = hit if acc is None else tuple(map(add, acc, hit))
-    total = 0 if acc is None else sum(map(mul, acc, _monomials(exps, alpha)))
+    total = 0
+    if acc is not None:
+        for c, e in zip(acc, exps):
+            if c:
+                total += c * prod(map(pow, alpha, e))
     return _count(total, cf.denominator, alpha)
 
 

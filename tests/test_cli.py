@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 
 import pytest
@@ -115,6 +116,32 @@ class TestFormats:
         for _ in range(20):
             a = (rng.randint(-8, 12), rng.randint(-8, 12))
             assert eval_closed(back, a) == eval_closed(cf, a)
+
+
+class TestClosedFormJson:
+    """closed_form_from_json reads each coefficient "n" or "n/d" as ints."""
+
+    def test_unreduced_coefficients_give_the_same_form(self):
+        # every n/d written as 6n/6d (n as 6n/6): the lcm of the d's is then
+        # 6 times too large, and the form read back is still the least one
+        for X in (EX2, D59[:3]):
+            cf = closed_form(X)
+            doc = closed_form_to_json(cf)
+            for piece in doc["pieces"]:
+                for m in piece["poly"]:
+                    n, _, d = m["coeff"].partition("/")
+                    m["coeff"] = f"{6 * int(n)}/{6 * int(d or 1)}"
+            back = closed_form_from_json(doc)
+            assert back == cf
+            assert (back.denominator, back.numerators) == (cf.denominator, cf.numerators)
+
+    @pytest.mark.parametrize("coeff", ["1/0", "0/0", "3/-4", "x", "1.5", "", "/2", "3/",
+                                       "1/2/3", "1 /2", 3, None])
+    def test_bad_coefficient_raises_value_error(self, coeff):
+        doc = closed_form_to_json(closed_form(EX2))
+        doc["pieces"][-1]["poly"][0]["coeff"] = coeff
+        with pytest.raises(ValueError, match=f"coefficient {re.escape(repr(coeff))}"):
+            closed_form_from_json(doc)
 
 
 class TestVerify:

@@ -393,6 +393,69 @@ class TestTelescopedRecursion:
             DMContext([(1,), (2,), (3,), (5,)]).count((500,))
 
 
+def box_of(X):
+    """[-4, 8]^s, or [-2, 4]^3 in dimension 3: a box around the origin."""
+    s = len(X[0])
+    return (-4 if s < 3 else -2,) * s, (8 if s < 3 else 4,) * s
+
+
+class TestCountBox:
+    """DMContext.count_box counts each box line along the last coordinate
+    only where <xs, alpha> >= 0; it must give count's nonzero counts at the
+    box's points and leave the memo count would leave."""
+
+    @pytest.mark.parametrize("X", [EX1, EX2, STRESS_A, STRESS_B] + DEPENDENT_PREFIX,
+                             ids=["ex1", "ex2", "stressA", "stressB", "prefix0", "prefix1", "prefix2"])
+    def test_matches_pointwise_count(self, X):
+        lo, hi = box_of(X)
+        ctx, pointwise = DMContext(X), DMContext(X)
+        want = {p: n for p in engines.box_points(lo, hi) if (n := pointwise.count(p))}
+        assert ctx.count_box(lo, hi) == want
+        assert list(ctx.memo.items()) == list(pointwise.memo.items())
+
+    def test_matches_pointwise_count_on_corpus(self):
+        for X in CORPUS:
+            lo, hi = box_of(X)
+            ctx, pointwise = DMContext(X), DMContext(X)
+            assert ctx.count_box(lo, hi) == \
+                {p: n for p in engines.box_points(lo, hi) if (n := pointwise.count(p))}, X
+            assert list(ctx.memo.items()) == list(pointwise.memo.items()), X
+
+    @settings(max_examples=100, deadline=None)
+    @given(brute_boxes())
+    def test_matches_brute_force_box(self, case):
+        X, lo, hi = case
+        assert DMContext(X).count_box(lo, hi) == brute_force_box(X, lo, hi)
+
+    def test_box_below_the_cone_is_empty(self, monkeypatch):
+        # EX2's certificate pairs positively with both unit vectors, so
+        # every point of [-5, -1]^2 pairs negatively: no point is counted
+        ctx = DMContext(EX2)
+        lo, hi = (-5, -5), (-1, -1)
+        assert all(pairing(ctx.xs, p) < 0 for p in engines.box_points(lo, hi))
+        monkeypatch.setattr(DMContext, "_count", lambda *args: pytest.fail("point counted"))
+        assert ctx.count_box(lo, hi) == {}
+        assert ctx.memo == {}
+
+    @pytest.mark.parametrize("lo,hi", [((0,), (3, 3)), ((0, 0, 0), (3, 3, 3))])
+    def test_box_of_another_dimension_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="do not have dimension 2"):
+            DMContext(EX2).count_box(lo, hi)
+
+    def test_memo_budget_is_inclusive(self, monkeypatch):
+        # the budget that pointwise count fills exactly is enough, one less is not
+        lo, hi = box_of(STRESS_A)
+        pointwise = DMContext(STRESS_A)
+        for p in engines.box_points(lo, hi):
+            pointwise.count(p)
+        used = len(pointwise.memo)
+        monkeypatch.setattr(engines, "MEMO_BUDGET", used)
+        assert DMContext(STRESS_A).count_box(lo, hi)
+        monkeypatch.setattr(engines, "MEMO_BUDGET", used - 1)
+        with pytest.raises(BudgetError):
+            DMContext(STRESS_A).count_box(lo, hi)
+
+
 class TestCrossCheck:
     def test_scalar_box(self):
         report = cross_check(EX1, (-6,), (20,), seed=3)

@@ -588,6 +588,41 @@ class TestCompiledEvaluator:
                     assert all(type(n) is int for n in coeffs)
                     assert dict(zip(exps, coeffs)) == {e: want[key].get(e, 0) for e in exps}
 
+    def test_compiled_layout_is_pinned(self):
+        # sha256 of repr((exps, bases)) for the pinned forms and D59's,
+        # taken when the compile still built one dense tuple per piece
+        forms = [cf for _, _, _, cf in pinned_forms()]
+        layouts = [quasipoly._compile(cf.source, cf.numerators) for cf in forms]
+        assert hashlib.sha256(repr(layouts).encode()).hexdigest() == \
+            "b269bbd5537e8f9bda2c3f4c4ba4cc7757adae39c3d8a8ae5562ceac7887ca10"
+        cf = d59_form()
+        assert hashlib.sha256(repr(quasipoly._compile(cf.source, cf.numerators)).encode()).hexdigest() == \
+            "291c397746b25691986b1a1dfcd7011eb668b3428e923c7bb017e76e3a12ae43"
+
+    @pytest.mark.parametrize("X", [EX2, STRESS_B])
+    def test_basis_in_two_runs(self, X):
+        # a hand-built form where one piece of a basis with several is moved
+        # past the other bases' pieces, so the basis makes two runs: the
+        # compile gives it one entry per run, and both evaluators still count
+        # by the per-piece reference, support_membership and MultiPoly.evaluate
+        cf = closed_form(X)
+        pieces = list(cf.numerators)
+        bases = [b for b, _, _ in pieces]
+        i = next(i for i, b in enumerate(bases) if bases.count(b) > 1)
+        moved = pieces.pop(i)
+        pieces = pieces + [moved] if bases[-1] != moved[0] else [moved] + pieces
+        split = ClosedForm(cf.source, cf.denominator, tuple(pieces))
+        assert len(split._compiled[1]) == len(set(bases)) + 1
+        lo, hi = wall_box(X)
+        want = {}
+        for a in box_points(lo, hi):
+            value = sum((p.poly.evaluate(a) for p in split.pieces
+                         if support_membership(p.basis, p.offset, a)), Fraction(0))
+            assert eval_closed(split, a) == value, a
+            if value:
+                want[a] = value
+        assert eval_closed_box(split, lo, hi) == want
+
     def test_matches_reference_on_cone_boundaries(self):
         # each piece's apex, and one basis vector below it, on every pinned form:
         # points where a coordinate of adj.alpha - adj.offset is 0 or -d
