@@ -2,9 +2,10 @@
 
 Subcommands: count | reduce | closed-form | verify | bench.  Input is one
 vector per line of whitespace-separated integers ('#' comments allowed),
-taken from a positional file or standard input.  Exit codes: 0 success,
-2 invalid input or usage, 3 verification failure, 4 broken internal
-invariant (a bug), 5 a size budget exceeded.
+read as strict UTF-8 from a positional file or standard input.  Exit
+codes: 0 success, 2 invalid input or usage, 3 verification failure,
+4 broken internal invariant (a bug), 5 a size budget or Python's
+recursion limit exceeded.
 """
 
 from __future__ import annotations
@@ -105,8 +106,7 @@ def _fmt_poly(poly: dict[Vec, int], den: int, names, coeff, sep: str) -> str:
 
 
 def fmt_term(term, names) -> str:
-    q = term.num.coeff
-    head = f"{q}" if q != 1 else "1"
+    head = str(term.num.coeff)
     e = fmt_linear(term.num.shift, names)
     if e != "0":
         head = f"{head}*e^({e})" if head != "1" else f"e^({e})"
@@ -127,7 +127,7 @@ def render_reduced_latex(rf) -> str:
     parts = []
     for t in rf.sum.terms:
         q = t.num.coeff
-        num = f"{_latex_frac(abs(q), 1)} e^{{{fmt_linear(t.num.shift, names)}}}"
+        num = f"{abs(q)} e^{{{fmt_linear(t.num.shift, names)}}}"
         den = "".join(
             f"(1-e^{{-({fmt_linear(f.vector, names)})}})^{{{f.power}}}"
             for f in t.denom)
@@ -243,16 +243,18 @@ def reduced_to_json(rf) -> dict:
 # ---------------------------------------------------------------- commands
 
 def _read_spec(args) -> ProblemSpec:
-    if args.input and args.input != "-":
-        try:
-            with open(args.input) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {args.input}: {exc.strerror or exc}")
-        except UnicodeDecodeError as exc:
-            raise InputError(f"cannot read {args.input}: {exc}")
-    else:
-        text = sys.stdin.read()
+    """The system in args.input, a path or "-" for standard input (file
+    descriptor 0, left open): read whole as bytes and decoded as strict
+    UTF-8.  InputError names the source when either step fails."""
+    stdin = not args.input or args.input == "-"
+    source = "standard input" if stdin else args.input
+    try:
+        with open(0 if stdin else args.input, "rb", closefd=not stdin) as fh:
+            text = fh.read().decode()
+    except OSError as exc:
+        raise InputError(f"cannot read {source}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {source}: {exc}")
     return parse_vectors(text, label=args.input)
 
 
@@ -289,27 +291,10 @@ def cmd_count(args) -> int:
     return 0
 
 
-def cmd_reduce(args) -> int:
-    spec = _read_spec(args)
-    rf = toric_reduce(spec.vectors)
-    if args.format == "json":
-        print(json.dumps(reduced_to_json(rf), indent=2))
-    elif args.format == "latex":
-        print(render_reduced_latex(rf))
-    else:
-        print(render_reduced_text(rf))
-    return 0
-
-
-def cmd_closed_form(args) -> int:
-    spec = _read_spec(args)
-    cf = closed_form(spec.vectors)
-    if args.format == "json":
-        print(json.dumps(closed_form_to_json(cf), indent=2))
-    elif args.format == "latex":
-        print(render_closed_latex(cf))
-    else:
-        print(render_closed_text(cf))
+def cmd_render(args) -> int:
+    """reduce and closed-form: build the object and print it in args.format
+    with the renderer build_parser's table gives."""
+    print(args.renders[args.format](args.build(_read_spec(args).vectors)))
     return 0
 
 
@@ -348,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
                "failure, 4 broken internal invariant (a bug; please report it), "
                "5 valid input too large: a term, memo or node budget exceeded, "
                "a verify box of more points than the memo budget, "
-               "or a coordinate past the packed-shift bound")
+               "a coordinate past the packed-shift bound, "
+               "or a walk deeper than Python's recursion limit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -362,15 +348,23 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("reduce", help="print the toric reduction")
-    p.add_argument("--format", choices=["text", "json", "latex"], default="text")
-    common(p)
-    p.set_defaults(func=cmd_reduce)
+    def dumps(to_json):
+        return lambda obj: json.dumps(to_json(obj), indent=2)
 
-    p = sub.add_parser("closed-form", help="print the closed form")
-    p.add_argument("--format", choices=["text", "json", "latex"], default="text")
-    common(p)
-    p.set_defaults(func=cmd_closed_form)
+    # command -> (help, build, {format: render}), all run by cmd_render
+    printers = {
+        "reduce": ("print the toric reduction", toric_reduce,
+                   {"text": render_reduced_text, "json": dumps(reduced_to_json),
+                    "latex": render_reduced_latex}),
+        "closed-form": ("print the closed form", closed_form,
+                        {"text": render_closed_text, "json": dumps(closed_form_to_json),
+                         "latex": render_closed_latex}),
+    }
+    for name, (help_, build, renders) in printers.items():
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--format", choices=list(renders), default="text")
+        common(p)
+        p.set_defaults(func=cmd_render, build=build, renders=renders)
 
     p = sub.add_parser("verify", help="cross-check all engines on a box")
     p.add_argument("--box", default="-6:12", help="per-coordinate range lo:hi")
@@ -400,6 +394,10 @@ def main(argv=None) -> int:
         return 4
     except BudgetError as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
+        return 5
+    except RecursionError:
+        print("error: budget exceeded: the walk goes deeper than Python's recursion "
+              f"limit of {sys.getrecursionlimit():,} frames", file=sys.stderr)
         return 5
 
 

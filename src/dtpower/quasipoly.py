@@ -57,14 +57,15 @@ T_B's int numerators as a dense tuple over exps.  The compile walks the
 sorted pieces once per basis, adding each piece's monomials into one list
 per residue, and makes each list a tuple at the end.  eval_closed takes,
 per basis, u = adj.alpha row by row, stopping at the first row below
-floor; a basis that passes costs one lookup and one tuple addition.  Then
-one dot product with alpha's monomials, skipping zero coefficients.
+floor; a basis that passes costs one lookup and one tuple addition.
 eval_closed_box walks the box line by line along the last coordinate: u
 steps by adj's last column, so each basis's test clips the line to one
-range (linalg.int_range) and its residue repeats with a period dividing d.
-Neither makes a Fraction; the count is checked once per point, as a
-nonnegative multiple of the denominator.  support_membership and
-MultiPoly.evaluate stay as the exact per-piece reference.
+range (linalg.int_range), and each point of that range looks up its own
+residue.  Both end in _finish: one dot product with alpha's monomials,
+skipping zero coefficients, and the count checked as a nonnegative
+multiple of the denominator.  Neither makes a Fraction.
+support_membership and MultiPoly.evaluate stay as the exact per-piece
+reference.
 """
 
 from __future__ import annotations
@@ -207,12 +208,6 @@ def _interior(source) -> Vec:
     return tuple(map(sum, zip(*source)))
 
 
-def _monomials(exps, alpha) -> list[int]:
-    """alpha^e for each exponent tuple e of exps: the vector a piece's
-    coeffs are dotted with."""
-    return [prod(map(pow, alpha, e)) for e in exps]
-
-
 def support_membership(basis, offset: Vec, alpha: Vec) -> bool:
     """True iff alpha lies on offset + N*basis[0] + ... + N*basis[s-1]."""
     d, adj = square_solver(basis)
@@ -343,8 +338,7 @@ def eval_closed(cf: ClosedForm, alpha) -> int:
     Per basis, the chamber test adj.alpha >= floor row by row: the first
     row with adj_i.alpha < floor_i ends it, and a basis that passes looks up
     its total on the residues of the rows already computed and adds it with
-    one tuple addition.  Then one dot product of the sum with alpha's
-    monomials, over the exponent tuples whose coefficient is not 0.
+    one tuple addition; _finish counts the sum.
     """
     alpha = tuple(alpha)
     if len(alpha) != len(cf.source[0]):
@@ -362,12 +356,18 @@ def eval_closed(cf: ClosedForm, alpha) -> int:
             hit = totals.get(tuple(key))
             if hit is not None:
                 acc = hit if acc is None else tuple(map(add, acc, hit))
+    return _finish(acc or (), exps, cf.denominator, alpha)
+
+
+def _finish(acc, exps, denominator: int, alpha: Vec) -> int:
+    """The count at alpha of the summed totals acc: their dot product with
+    alpha's monomials, over the exponent tuples whose coefficient is not 0,
+    through _count."""
     total = 0
-    if acc is not None:
-        for c, e in zip(acc, exps):
-            if c:
-                total += c * prod(map(pow, alpha, e))
-    return _count(total, cf.denominator, alpha)
+    for c, e in zip(acc, exps):
+        if c:
+            total += c * prod(map(pow, alpha, e))
+    return _count(total, denominator, alpha)
 
 
 def _count(numerator: int, denominator: int, alpha: Vec) -> int:
@@ -385,11 +385,9 @@ def eval_closed_box(cf: ClosedForm, lo: Vec, hi: Vec) -> dict[Vec, int]:
 
     On the line head + t*e_s, t = 0 .. hi_s - lo_s from its first point,
     u = adj.alpha steps by adj's last column, so a basis's chamber test
-    u >= floor clips t to one range (linalg.int_range), and its residue
-    u mod d repeats with a period dividing d: at most d lookups per line
-    and basis, each total then added to every d-th point of the range.
-    Each point keeps the sum of the totals that reach it, and its count is
-    one dot product of that sum with its monomials.
+    u >= floor clips t to one range (linalg.int_range), and each t of it
+    looks up its total by its residue (u + t*step) mod d.  Each point keeps
+    the sum of the totals that reach it, and _finish counts it.
     """
     s = len(cf.source[0])
     if len(lo) != s or len(hi) != s:
@@ -403,17 +401,15 @@ def eval_closed_box(cf: ClosedForm, lo: Vec, hi: Vec) -> dict[Vec, int]:
         for d, adj, floor, totals in bases:
             u = [sum(map(mul, row, first)) for row in adj]
             step = [row[-1] for row in adj]
-            ts = _chamber_range(u, step, floor, span)
-            for t in ts[:d]:
+            for t in _chamber_range(u, step, floor, span):
                 hit = totals.get(tuple([(x + t * c) % d for x, c in zip(u, step)]))
                 if hit is not None:
-                    for k in range(t, ts.stop, d):
-                        had = line[k]
-                        line[k] = hit if had is None else tuple(map(add, had, hit))
+                    had = line[t]
+                    line[t] = hit if had is None else tuple(map(add, had, hit))
         for t, acc in enumerate(line):
             if acc is not None:
                 alpha = (*head, t_lo + t)
-                n = _count(sum(map(mul, acc, _monomials(exps, alpha))), cf.denominator, alpha)
+                n = _finish(acc, exps, cf.denominator, alpha)
                 if n:
                     out[alpha] = n
     return out

@@ -1,12 +1,16 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import D59, EX2
-from dtpower import engines, linalg, toric
+from dtpower import cli, engines, linalg, toric
 from dtpower.cli import (closed_form_from_json, closed_form_to_json, main,
                          parse_vectors)
 from dtpower.errors import InvariantError
@@ -52,6 +56,17 @@ def run(args, text, tmp_path, capsys):
     code = main(args + [str(f)])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_stdin(args, stdin: bytes | None):
+    """The imported dtpower's CLI in a child process with stdin as given,
+    or closed when it is None, under strict UTF-8 standard streams."""
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    cmd = [sys.executable, "-m", "dtpower.cli", *args]
+    if stdin is None:
+        cmd = ["sh", "-c", '"$@" <&-', "sh", *cmd]
+    return subprocess.run(cmd, input=stdin, capture_output=True, env=env, timeout=60)
 
 
 class TestCount:
@@ -196,6 +211,31 @@ class TestUsage:
         assert out.out == ""
         assert out.err.startswith(f"error: cannot read {f}: ") and "decode" in out.err
 
+    def test_non_utf8_stdin_exits_2(self):
+        done = run_stdin(["count", "--point", "1,1"], b"1 0\n\xff 1\n")
+        assert done.returncode == 2 and done.stdout == b""
+        assert done.stderr.startswith(b"error: cannot read standard input: ")
+        assert b"decode" in done.stderr
+
+    def test_closed_stdin_exits_2(self):
+        done = run_stdin(["count", "--point", "1,1"], None)
+        assert done.returncode == 2 and done.stdout == b""
+        assert done.stderr.startswith(b"error: cannot read standard input: ")
+
+    def test_stdin_counts(self):
+        done = run_stdin(["count", "--point", "0,4"], EX2_TEXT.encode())
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"3\n", b"")
+
+    @pytest.mark.parametrize("engine", ["brute", "recursion"])
+    def test_walk_past_the_recursion_limit_exits_5(self, engine, tmp_path, capsys):
+        # both walks take one Python frame per vector
+        start = time.perf_counter()
+        code, out, err = run(["count", "--engine", engine, "--point", "3"], "1\n" * 1000,
+                             tmp_path, capsys)
+        assert code == 5 and out == ""
+        assert err.startswith("error: budget exceeded: ") and "recursion limit" in err
+        assert time.perf_counter() - start < 5.0
+
     def test_broken_invariant_exits_4(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise InvariantError("dependent denominator vectors")
@@ -261,3 +301,4 @@ class TestUsage:
         assert "a term, memo or node budget exceeded" in out
         assert "a verify box of more points than the memo budget" in out
         assert "a coordinate past the packed-shift bound" in out
+        assert "a walk deeper than Python's recursion limit" in out

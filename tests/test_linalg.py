@@ -242,8 +242,9 @@ def _random_basis(rng, s):
     return tuple(basis)
 
 
-class TestDetAdj:
-    """column_solver's determinant and adjugate of a square basis."""
+class TestSquareSolver:
+    """column_solver's and square_solver's determinant and adjugate of a
+    square basis."""
 
     def test_skew_basis(self):
         # columns (1,0), (-1,2): det 2, inverse rows (1, 1/2) and (0, 1/2)
@@ -279,19 +280,6 @@ class TestDetAdj:
         d, adj, _ = column_solver(basis)
         u = tuple(rng.randint(-9, 9) for _ in range(s))
         assert tuple(Fraction(dot(row, u), d) for row in adj) == solve_square(basis, u)
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_primitive_adjugate_row_is_orth_complement(self, seed):
-        rng = random.Random(400 + seed)
-        s = rng.randint(1, 4)
-        basis = _random_basis(rng, s)
-        _, adj, _ = column_solver(basis)
-        for i, row in enumerate(adj):
-            g = gcd(*row)
-            # both against the Fraction inverse, which neither is computed from
-            want = _primitive_inverse_row(basis, i)
-            assert tuple(c // g for c in row) == want
-            assert orth_complement(basis, i) == want
 
 
 def _small_system(seed):
