@@ -2,7 +2,8 @@
 
 Subcommands: count | reduce | closed-form | verify | bench.  Input is one
 vector per line of whitespace-separated integers ('#' comments allowed),
-read as strict UTF-8 from a positional file or standard input.  Exit
+read as strict UTF-8 from a positional file or standard input.  reduce
+prints toric.listing; verify and bench print one cross_check report.  Exit
 codes: 0 success, 2 invalid input or usage, 3 verification failure,
 4 broken internal invariant (a bug), 5 a size budget or Python's
 recursion limit exceeded.
@@ -21,7 +22,7 @@ from .engines import brute_force_count, cross_check, dm_count
 from .errors import BudgetError, InvariantError
 from .linalg import Vec, check_system
 from .quasipoly import ClosedForm, _canonical, closed_form, eval_closed
-from .toric import toric_reduce
+from .toric import listing, toric_reduce
 
 
 class InputError(ValueError):
@@ -105,32 +106,27 @@ def _fmt_poly(poly: dict[Vec, int], den: int, names, coeff, sep: str) -> str:
     return _join_signed(bits) if bits else "0"
 
 
-def fmt_term(term, names) -> str:
-    head = str(term.num.coeff)
-    e = fmt_linear(term.num.shift, names)
+def fmt_term(q: int, shift: Vec, denom, names) -> str:
+    head = str(q)
+    e = fmt_linear(shift, names)
     if e != "0":
         head = f"{head}*e^({e})" if head != "1" else f"e^({e})"
-    tail = " ".join(
-        f"(1 - e^(-({fmt_linear(f.vector, names)})))^{f.power}" if f.power > 1
-        else f"(1 - e^(-({fmt_linear(f.vector, names)})))"
-        for f in term.denom)
+    tail = " ".join(f"(1 - e^(-({fmt_linear(v, names)})))" + (f"^{p}" if p > 1 else "")
+                    for v, p in denom)
     return f"{head} / [{tail}]" if tail else head
 
 
 def render_reduced_text(rf) -> str:
     names = _varnames(len(rf.source[0]))
-    return "\n".join(fmt_term(t, names) for t in rf.sum.terms)
+    return "\n".join(fmt_term(q, c, d, names) for c, d, q in listing(rf.grouped))
 
 
 def render_reduced_latex(rf) -> str:
     names = _varnames(len(rf.source[0]))
     parts = []
-    for t in rf.sum.terms:
-        q = t.num.coeff
-        num = f"{abs(q)} e^{{{fmt_linear(t.num.shift, names)}}}"
-        den = "".join(
-            f"(1-e^{{-({fmt_linear(f.vector, names)})}})^{{{f.power}}}"
-            for f in t.denom)
+    for c, d, q in listing(rf.grouped):
+        num = f"{abs(q)} e^{{{fmt_linear(c, names)}}}"
+        den = "".join(f"(1-e^{{-({fmt_linear(v, names)})}})^{{{p}}}" for v, p in d)
         parts.append(f"{'-' if q < 0 else ''}\\frac{{{num}}}{{{den}}}")
     return _join_signed(parts)
 
@@ -229,23 +225,21 @@ def reduced_to_json(rf) -> dict:
         "vectors": [list(v) for v in rf.source],
         "terms": [
             {
-                "coeff": str(t.num.coeff),
-                "shift": list(t.num.shift),
-                "denominators": [
-                    {"vector": list(f.vector), "power": f.power} for f in t.denom
-                ],
+                "coeff": str(q),
+                "shift": list(c),
+                "denominators": [{"vector": list(v), "power": p} for v, p in d],
             }
-            for t in rf.sum.terms
+            for c, d, q in listing(rf.grouped)
         ],
     }
 
 
 # ---------------------------------------------------------------- commands
 
-def _read_spec(args) -> ProblemSpec:
+def _read_vectors(args) -> tuple[Vec, ...]:
     """The system in args.input, a path or "-" for standard input (file
-    descriptor 0, left open): read whole as bytes and decoded as strict
-    UTF-8.  InputError names the source when either step fails."""
+    descriptor 0, left open): read whole as bytes, decoded as strict UTF-8
+    and parsed.  InputError names the source when reading or decoding fails."""
     stdin = not args.input or args.input == "-"
     source = "standard input" if stdin else args.input
     try:
@@ -255,7 +249,7 @@ def _read_spec(args) -> ProblemSpec:
         raise InputError(f"cannot read {source}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {source}: {exc}")
-    return parse_vectors(text, label=args.input)
+    return parse_vectors(text).vectors
 
 
 def _parse_point(text: str, dim: int) -> Vec:
@@ -279,14 +273,14 @@ def _parse_box(text: str, dim: int) -> tuple[Vec, Vec]:
 
 
 def cmd_count(args) -> int:
-    spec = _read_spec(args)
-    alpha = _parse_point(args.point, spec.dimension)
+    X = _read_vectors(args)
+    alpha = _parse_point(args.point, len(X[0]))
     if args.engine == "brute":
-        value = brute_force_count(spec.vectors, alpha)
+        value = brute_force_count(X, alpha)
     elif args.engine == "recursion":
-        value = dm_count(spec.vectors, alpha)
+        value = dm_count(X, alpha)
     else:
-        value = eval_closed(closed_form(spec.vectors), alpha)
+        value = eval_closed(closed_form(X), alpha)
     print(value)
     return 0
 
@@ -294,14 +288,17 @@ def cmd_count(args) -> int:
 def cmd_render(args) -> int:
     """reduce and closed-form: build the object and print it in args.format
     with the renderer build_parser's table gives."""
-    print(args.renders[args.format](args.build(_read_spec(args).vectors)))
+    print(args.renders[args.format](args.build(_read_vectors(args))))
     return 0
 
 
-def cmd_verify(args) -> int:
-    spec = _read_spec(args)
-    lo, hi = _parse_box(args.box, spec.dimension)
-    report = cross_check(spec.vectors, lo, hi, seed=args.seed)
+def cmd_check(args) -> int:
+    """verify and bench: one cross_check on args.box, printed by args.report."""
+    X = _read_vectors(args)
+    return args.report(cross_check(X, *_parse_box(args.box, len(X[0])), seed=args.seed))
+
+
+def print_verify(report) -> int:
     npts = report.totals["brute"]
     if report.ok:
         print(f"OK: {npts} points, 0 mismatches")
@@ -312,10 +309,7 @@ def cmd_verify(args) -> int:
     return 3
 
 
-def cmd_bench(args) -> int:
-    spec = _read_spec(args)
-    lo, hi = _parse_box(args.box, spec.dimension)
-    report = cross_check(spec.vectors, lo, hi)
+def print_bench(report) -> int:
     print(f"{'engine':<12}{'points':>8}{'seconds':>12}")
     for eng in ("brute", "recursion", "closed"):
         print(f"{eng:<12}{report.totals[eng]:>8}{report.timings[eng]:>12.4f}")
@@ -370,12 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", default="-6:12", help="per-coordinate range lo:hi")
     p.add_argument("--seed", type=int, default=0)
     common(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_check, report=print_verify)
 
     p = sub.add_parser("bench", help="time all engines on a box")
     p.add_argument("--box", default="-6:12", help="per-coordinate range lo:hi")
     common(p)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_check, report=print_bench, seed=0)
     return ap
 
 

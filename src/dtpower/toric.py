@@ -20,9 +20,9 @@ Inside the fold a shift is one packed int (see STRIDE), so multiplying
 numerators adds ints and builds no tuple per product.  Shifts are packed
 where they enter, the monomials of a gamma or of beta and the numerator of
 the unit term, and unpacked once, by _unpacked, when the fold is done, so
-ReducedForm.grouped maps each denominator to {shift in Z^s: int}; its
-ExpRatSum, ReducedForm.sum, is built on demand.  absorb_vector adds its
-term's shift after unpacking.
+ReducedForm.grouped maps each denominator to {shift in Z^s: int}; listing
+orders its terms for printing, and ReducedForm.sum, for the tests, is built
+on demand.  absorb_vector adds its term's shift after unpacking.
 
 The reduction is order-dependent and non-unique; correctness is semantic
 (formal-identity preservation, which the tests spot-check numerically at
@@ -352,9 +352,12 @@ def choose_fold(X) -> tuple[list[int], Grouped]:
     each independent s-subset of X, in ascending |det| (ties in index
     order).  After the seed, each step absorbs every remaining vector, in
     input order, and keeps the one that leaves the fewest terms; a later
-    candidate wins only with strictly fewer.  A candidate is abandoned once
-    it has more terms than the best one of its step or the best complete
-    fold so far, and every candidate once it has more than TERM_BUDGET terms.
+    candidate wins only with strictly fewer.  Equal vectors give equal
+    steps, so each step tries a vector only at its first remaining index,
+    and a seed whose vectors equal an earlier seed's is skipped: neither
+    could win.  A candidate is abandoned once it has more terms than the
+    best one of its step or the best complete fold so far, and every
+    candidate once it has more than TERM_BUDGET terms.
     Input order is folded last, capped at twice the best count, and kept
     when it ends at or below the best count: it wins ties.  A step's keys
     include the zero coefficients of terms that cancel, so the result has
@@ -371,12 +374,20 @@ def choose_fold(X) -> tuple[list[int], Grouped]:
     seeds.sort()
 
     best, best_count = None, math.inf
+    seeded = set()
     for _, subset in seeds:
+        if (vecs := tuple(X[i] for i in subset)) in seeded:
+            continue
+        seeded.add(vecs)
         order, acc = list(subset), _fold(X, subset)
         rest = [i for i in range(n) if i not in subset]
         while rest:
             pick, step, size = None, None, math.inf
+            tried = set()
             for i in rest:
+                if X[i] in tried:
+                    continue
+                tried.add(X[i])
                 cand = fold_step(acc, X[i], min(best_count, size, budget))
                 if cand is not None and (k := _size(cand)) < size:
                     pick, step, size = i, cand, k
@@ -474,12 +485,16 @@ def _unpacked(acc: Grouped, s: int) -> Reduced:
     return {d: {_unpack(c, s): q for c, q in num.items()} for d, num in acc.items()}
 
 
+def listing(grouped: Reduced) -> list[tuple[Vec, Denom, int]]:
+    """An unpacked grouped sum's terms as (shift, denominator, coefficient),
+    sorted by shift, then denominator: the order of every rendering."""
+    return sorted((c, d, q) for d, num in grouped.items() for c, q in num.items())
+
+
 def _to_sum(grouped: Reduced) -> ExpRatSum:
-    """The normalized ExpRatSum of an unpacked grouped sum: terms sorted by
-    (shift, denominator), one DenomFactor tuple per denominator."""
+    """The ExpRatSum of an unpacked grouped sum, in listing order."""
     factors = {d: tuple(DenomFactor(v, p) for v, p in d) for d in grouped}
-    entries = sorted((c, d, q) for d, num in grouped.items() for c, q in num.items())
-    return ExpRatSum(tuple(ExpRatTerm(ExpMonomial(q, c), factors[d]) for c, d, q in entries))
+    return ExpRatSum(tuple(ExpRatTerm(ExpMonomial(q, c), factors[d]) for c, d, q in listing(grouped)))
 
 
 def _positive_multiple_of_some(v: Vec, X) -> bool:

@@ -182,12 +182,29 @@ class TestVerify:
             f"  at {p}: brute={b} recursion={r} closed={c}" for p, b, r, c in corrupted_closed]
 
 
+def assert_bench_table(lines, points):
+    """bench's header and its three engine rows: name, points, then seconds
+    to four places, 32 columns in all."""
+    header, *rows = lines
+    assert header == "engine        points     seconds"
+    assert len(rows) == 3
+    for eng, row in zip(("brute", "recursion", "closed"), rows):
+        assert re.fullmatch(f"{eng:<12}{points:>8} *[0-9]+\\.[0-9]{{4}}", row), row
+        assert len(row) == 32, row
+
+
 class TestBench:
     def test_reports_three_engines(self, tmp_path, capsys):
         code, out, _ = run(["bench", "--box=-4:8"], EX1_TEXT, tmp_path, capsys)
         assert code == 0
-        for eng in ("brute", "recursion", "closed"):
-            assert eng in out
+        assert_bench_table(out.splitlines(), 13)
+
+    def test_mismatches_exit_3(self, corrupted_closed, tmp_path, capsys):
+        code, out, _ = run(["bench", "--box=-2:4"], EX2_TEXT, tmp_path, capsys)
+        assert code == 3
+        *table, last = out.splitlines()
+        assert_bench_table(table, 49)
+        assert last == "3 mismatches!"
 
 
 class TestUsage:

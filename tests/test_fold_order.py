@@ -2,17 +2,19 @@
 chosen fold is never larger than the input-order fold."""
 
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (D59, EX1, EX2, STRESS_A, STRESS_B, pointed_systems,
-                      reduce_checked)
+from conftest import (D59, EX1, EX2, STRESS_A, STRESS_B, pinned_inputs,
+                      pointed_systems, reduce_checked)
 from dtpower import toric
 from dtpower.engines import DMContext, box_points
 from dtpower.errors import BudgetError, InvariantError
 from dtpower.expalg import make_sum, make_term
+from dtpower.linalg import column_solver
 from dtpower.quasipoly import closed_form, eval_closed_box
 from dtpower.toric import absorb_vector, toric_reduce
 
@@ -148,3 +150,65 @@ class TestD59:
         with pytest.raises(BudgetError):
             toric_reduce(D59)
         assert not issubclass(BudgetError, InvariantError)
+
+
+def unpruned_choose_fold(X):
+    """choose_fold as it was before the search tried each distinct vector
+    once: every seed, and at each step every remaining index."""
+    n, s = len(X), len(X[0])
+    seeds = []
+    for subset in combinations(range(n), s):
+        solved = column_solver(tuple(X[i] for i in subset))
+        if solved is not None:
+            seeds.append((solved[0], subset))
+    seeds.sort()
+    best, best_count = None, math.inf
+    for _, subset in seeds:
+        order, acc = list(subset), toric._fold(X, subset)
+        rest = [i for i in range(n) if i not in subset]
+        while rest:
+            pick, step, size = None, None, math.inf
+            for i in rest:
+                cand = toric.fold_step(acc, X[i], min(best_count, size, toric.TERM_BUDGET))
+                if cand is not None and (k := toric._size(cand)) < size:
+                    pick, step, size = i, cand, k
+            if step is None:
+                break
+            rest.remove(pick)
+            order.append(pick)
+            acc = step
+        if not rest and toric._size(acc) < best_count:
+            best, best_count = (order, acc), toric._size(acc)
+    acc = toric._fold(X, range(n), min(2 * best_count, toric.TERM_BUDGET))
+    if acc is not None and toric._size(acc) <= best_count:
+        return list(range(n)), acc
+    return best
+
+
+class TestDistinctVectors:
+    """The search tries each distinct vector once per step and each distinct
+    seed once: equal vectors give equal steps, so no decision changes."""
+
+    def test_repeated_vector_costs_linear_steps(self, monkeypatch):
+        # every index and every seed tried: about n^3 / 2 steps
+        calls = [0]
+        real = toric.fold_step
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(toric, "fold_step", counting)
+        X = [(1,)] * 60
+        order, acc = toric.choose_fold(X)
+        assert calls[0] <= 3 * len(X)
+        assert order == list(range(60))
+        assert acc == {(((1,), 60),): {0: 1}}
+
+    def test_same_decisions_as_the_unpruned_search(self):
+        inputs = [X for _, X in pinned_inputs()]
+        for base in (EX1, STRESS_A, STRESS_B):
+            inputs += [base + (base[i],) for i in range(len(base))]
+        for X in inputs:
+            X = [tuple(a) for a in X]
+            assert toric.choose_fold(X) == unpruned_choose_fold(X), X
