@@ -6,13 +6,15 @@ read as strict UTF-8 from a positional file or standard input.  reduce
 prints toric.listing; verify and bench print one cross_check report.  Exit
 codes: 0 success, 2 invalid input or usage, 3 verification failure,
 4 broken internal invariant (a bug), 5 a size budget or Python's
-recursion limit exceeded.
+recursion limit exceeded, 141 output pipe closed by its reader.  JSON is
+written compact, without indentation, so CPython's C encoder writes it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -328,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
                "5 valid input too large: a term, memo or node budget exceeded, "
                "a verify box of more points than the memo budget, "
                "a coordinate past the packed-shift bound, "
-               "or a walk deeper than Python's recursion limit")
+               "or a walk deeper than Python's recursion limit; "
+               "141 output pipe closed by its reader")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -343,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     def dumps(to_json):
-        return lambda obj: json.dumps(to_json(obj), indent=2)
+        return lambda obj: json.dumps(to_json(obj))
 
     # command -> (help, build, {format: render}), all run by cmd_render
     printers = {
@@ -379,7 +382,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader is gone: stdout goes to devnull so that the flush at
+        # exit stays silent, and the status is a shell's for SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,11 +17,13 @@ B_i^perp.  So what depends on D alone is computed once per denominator, in
 a cache keyed on D as (vector, power) pairs (_inversion_data): the basis
 and the w_i (linalg.orth_complement), the pairs <w_i, b_i>, the divisor,
 sum_i (h_i - 1) * b_i, and the product of the linear factors expanded over
-int in alpha and in the t_i.  Per term come the t_i, that product at them
-and the offset.  closed_form reads ReducedForm.grouped as it is, one
-denominator at a time, and adds each term's values, over int, into its
-piece's numerators over L, the lcm of the divisors, so pieces that share
-(basis, offset) merge by int addition.
+int in alpha and in the t_i, its 2s exponents packed into one int and
+multiplied by toric's own sparse product (_accumulate).  Per term come
+the t_i, that product at them and the offset.  One loop, _invert, reads
+a grouped sum one denominator at a time and adds each term's values, over
+int, into its piece's numerators over L, the lcm of the divisors, so
+pieces that share (basis, offset) merge by int addition: closed_form runs
+it on ReducedForm.grouped as it is, inverse_laplace_term on one term.
 
 A ClosedForm is those int numerators, per piece (basis, offset,
 {exponents: n}), over one denominator, divided by their gcd: so it is the
@@ -81,7 +83,7 @@ from .errors import InvariantError
 from .expalg import ExpRatTerm
 from .linalg import (Vec, cone_count, dot, int_range, orth_complement, scale, square_solver,
                      vadd, vsub)
-from .toric import ReducedForm, toric_reduce
+from .toric import ReducedForm, _accumulate, _pack, _unpack, toric_reduce
 
 
 @dataclass
@@ -217,22 +219,14 @@ def support_membership(basis, offset: Vec, alpha: Vec) -> bool:
 
 
 def inverse_laplace_term(term: ExpRatTerm) -> ConePiece:
-    """One reduced term to one polynomial piece on a shifted lattice cone.
-
-    Everything that depends only on the denominator is computed once per
-    denominator (_inversion_data), the product of the linear factors
-    included, expanded in alpha and in the pairings t_i = <w_i, c>.  Per
-    term come the pairings, that product at them, over int, and the
-    offset; the one division, by prod (h_i - 1)! * pair_i^(h_i - 1), comes
-    when the MultiPoly is built.
+    """One reduced term to one polynomial piece on a shifted lattice cone:
+    closed_form's loop (_invert) on the one-term grouped sum, its one
+    piece's int numerators over the term's divisor read back as Fractions.
     """
     denom = tuple((f.vector, f.power) for f in term.denom)
-    basis, ws, table, divisor, lift = _inversion_data(denom)
-    q, c = term.num.coeff, term.num.shift
-    t = [sum(map(mul, w, c)) for w in ws]
-    mono = {e: Fraction(q * v, divisor) for e, v in _table_at(table, t)}
-    offset = tuple(-x - y for x, y in zip(c, lift))
-    return ConePiece(basis, offset, MultiPoly(mono))
+    L, acc = _invert({denom: {term.num.shift: term.num.coeff}})
+    [((basis, offset), poly)] = acc.items()
+    return ConePiece(basis, offset, MultiPoly({e: Fraction(n, L) for e, n in poly.items()}))
 
 
 @lru_cache(maxsize=4096)
@@ -247,14 +241,16 @@ def _inversion_data(denom) -> tuple:
     over int: per exponent tuple of alpha, its (coefficient,
     ((i, power of t_i), ...)) pairs.  divisor is
     prod_i (h_i - 1)! * pair_i^(h_i - 1) and lift is sum_i (h_i - 1) * b_i.
+    The expansion keeps each monomial's exponents of alpha_1 .. alpha_s,
+    t_1 .. t_s packed as one int (toric._pack), multiplies by
+    toric._accumulate and unpacks each monomial once, into the table.
     """
     basis = tuple(v for v, _ in denom)
     s = len(basis[0]) if basis else 0
-    # exponents of the expansion: alpha_1 .. alpha_s, then t_1 .. t_s
-    unit = [tuple(int(k == i) for k in range(2 * s)) for i in range(2 * s)]
-    zero = (0,) * (2 * s)
+    # exponents of the expansion, packed: alpha_1 .. alpha_s, then t_1 .. t_s
+    unit = [_pack(tuple(int(k == i) for k in range(2 * s))) for i in range(2 * s)]
     ws = []
-    poly = {zero: 1}
+    poly = {0: 1}
     divisor = 1
     lift = (0,) * s
     for i, (v, h) in enumerate(denom):
@@ -262,13 +258,15 @@ def _inversion_data(denom) -> tuple:
         pair = dot(w, v)
         linear = [(e, x) for e, x in zip(unit, w) if x] + [(unit[s + i], 1)]
         for j in range(1, h):
-            poly = _times(poly, linear + [(zero, j * pair)])
+            poly, num = {}, poly
+            _accumulate(poly, num, linear + [(0, j * pair)])
         ws.append(w)
         divisor *= factorial(h - 1) * pair ** (h - 1)
         lift = vadd(lift, scale(v, h - 1))
     table: dict[Vec, list] = {}
-    for e, r in poly.items():
+    for packed, r in poly.items():
         if r:
+            e = _unpack(packed, 2 * s)
             ks = tuple((i, k) for i, k in enumerate(e[s:]) if k)
             table.setdefault(e[:s], []).append((r, ks))
     return basis, tuple(ws), tuple(table.items()), divisor, lift
@@ -289,35 +287,31 @@ def _table_at(table, t) -> list[tuple[Vec, int]]:
     return out
 
 
-def _times(mono: dict[Vec, int], factor) -> dict[Vec, int]:
-    """mono times a polynomial given as (exponents, coefficient) pairs."""
-    out: dict[Vec, int] = {}
-    for e1, q in mono.items():
-        for e2, r in factor:
-            e = tuple(map(add, e1, e2))
-            out[e] = out.get(e, 0) + q * r
-    return out
-
-
 def closed_form(X, reduced: ReducedForm | None = None) -> ClosedForm:
     """Toric-reduce X and invert the grouped sum, rf.grouped as it is, one
     denominator at a time; pieces that share (basis, offset) merge.
 
     A caller that already holds toric_reduce(X) passes it as reduced, and X
-    is not reduced again.  Each denominator's _inversion_data is looked up
-    once.  Each term q * e^{<c,x>} adds q * v * (L // divisor) per monomial
-    into its piece's int numerators, L the lcm of the divisors; monomials
-    that sum to zero and pieces left empty are dropped, and L and the
-    numerators are divided by their gcd.  The result equals merge_pieces
-    over inverse_laplace_term of every term.
+    is not reduced again.  _invert's numerators go through _canonical:
+    monomials that sum to zero and pieces left empty are dropped, and L and
+    the numerators are divided by their gcd.  The result equals
+    merge_pieces over inverse_laplace_term of every term.
     """
     rf = toric_reduce(X) if reduced is None else reduced
     if rf.source != tuple(tuple(a) for a in X):
         raise ValueError("reduced form belongs to another system")
-    data = {denom: _inversion_data(denom) for denom in rf.grouped}
+    return _canonical(rf.source, *_invert(rf.grouped))
+
+
+def _invert(grouped) -> tuple[int, dict[tuple, dict[Vec, int]]]:
+    """(L, acc): a grouped sum inverted, acc mapping (basis, offset) to its
+    int numerators {exponents: n} over L, the lcm of the divisors.  Each
+    denominator's _inversion_data is looked up once, and each term
+    q * e^{<c,x>} adds q * v * (L // divisor) per nonzero table value v."""
+    data = {denom: _inversion_data(denom) for denom in grouped}
     L = lcm(*(divisor for _, _, _, divisor, _ in data.values()))
     acc: dict[tuple, dict[Vec, int]] = {}
-    for denom, num in rf.grouped.items():
+    for denom, num in grouped.items():
         basis, ws, table, divisor, lift = data[denom]
         m = L // divisor
         for c, q in num.items():
@@ -325,7 +319,7 @@ def closed_form(X, reduced: ReducedForm | None = None) -> ClosedForm:
             qm, poly = q * m, acc.setdefault(key, {})
             for e, v in _table_at(table, [sum(map(mul, w, c)) for w in ws]):
                 poly[e] = poly.get(e, 0) + qm * v
-    return _canonical(rf.source, L, acc)
+    return L, acc
 
 
 # the per-term reference's merge

@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import D59, EX2
+from conftest import D59, EX1, EX2, STRESS_B
 from dtpower import cli, engines, linalg, toric
 from dtpower.cli import (closed_form_from_json, closed_form_to_json, main,
-                         parse_vectors)
+                         parse_vectors, reduced_to_json)
 from dtpower.errors import InvariantError
 from dtpower.quasipoly import closed_form, eval_closed
+from dtpower.toric import toric_reduce
 
 EX1_TEXT = "1\n1\n2\n"
 EX2_TEXT = "1 0\n0 1\n-1 2\n"
@@ -58,15 +59,17 @@ def run(args, text, tmp_path, capsys):
     return code, out.out, out.err
 
 
-def run_stdin(args, stdin: bytes | None):
+def run_stdin(args, stdin: bytes | None, stdout=subprocess.PIPE, **env):
     """The imported dtpower's CLI in a child process with stdin as given,
-    or closed when it is None, under strict UTF-8 standard streams."""
+    or closed when it is None, under strict UTF-8 standard streams; env
+    adds to or overrides the child's environment."""
     env = {**os.environ, "PYTHONIOENCODING": "utf-8",
-           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+           "PYTHONPATH": str(Path(cli.__file__).parents[1]), **env}
     cmd = [sys.executable, "-m", "dtpower.cli", *args]
     if stdin is None:
         cmd = ["sh", "-c", '"$@" <&-', "sh", *cmd]
-    return subprocess.run(cmd, input=stdin, capture_output=True, env=env, timeout=60)
+    return subprocess.run(cmd, input=stdin, stdout=stdout, stderr=subprocess.PIPE,
+                          env=env, timeout=60)
 
 
 class TestCount:
@@ -131,6 +134,16 @@ class TestFormats:
         for _ in range(20):
             a = (rng.randint(-8, 12), rng.randint(-8, 12))
             assert eval_closed(back, a) == eval_closed(cf, a)
+
+
+    @pytest.mark.parametrize("X", [EX1, EX2], ids=["EX1", "EX2"])
+    @pytest.mark.parametrize("command,build,to_json", [
+        ("reduce", toric_reduce, reduced_to_json),
+        ("closed-form", closed_form, closed_form_to_json)], ids=["reduce", "closed-form"])
+    def test_json_is_the_compact_dump(self, X, command, build, to_json, tmp_path, capsys):
+        text = "".join(" ".join(map(str, a)) + "\n" for a in X)
+        code, out, _ = run([command, "--format", "json"], text, tmp_path, capsys)
+        assert code == 0 and out == json.dumps(to_json(build(X))) + "\n"
 
 
 class TestClosedFormJson:
@@ -239,6 +252,19 @@ class TestUsage:
         assert done.returncode == 2 and done.stdout == b""
         assert done.stderr.startswith(b"error: cannot read standard input: ")
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_output_pipe_exits_141(self, unbuffered):
+        # the pipe's read end is closed before the child writes: the print
+        # fails when stdout is unbuffered, the flush after it otherwise
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            text = "".join(" ".join(map(str, a)) + "\n" for a in STRESS_B)
+            done = run_stdin(["reduce"], text.encode(), stdout=w, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(w)
+        assert (done.returncode, done.stderr) == (141, b"")
+
     def test_stdin_counts(self):
         done = run_stdin(["count", "--point", "0,4"], EX2_TEXT.encode())
         assert (done.returncode, done.stdout, done.stderr) == (0, b"3\n", b"")
@@ -319,3 +345,7 @@ class TestUsage:
         assert "a verify box of more points than the memo budget" in out
         assert "a coordinate past the packed-shift bound" in out
         assert "a walk deeper than Python's recursion limit" in out
+
+    def test_help_documents_exit_141(self, capsys):
+        assert main(["--help"]) == 0
+        assert "141 output pipe closed by its reader" in " ".join(capsys.readouterr().out.split())

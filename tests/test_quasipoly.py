@@ -129,6 +129,23 @@ def reference_inverse(term):
     return ConePiece(basis, offset, MultiPoly({e: q for e, q in poly.items() if q}))
 
 
+class TestHighPower:
+    """150 copies of (1,): one term, 1 / (1 - e^{-x})^150, whose inversion
+    is a polynomial of degree 149 in alpha and in its pairing t."""
+
+    X = ((1,),) * 150
+
+    def test_counts_are_binomials(self):
+        cf = closed_form(self.X)
+        for a in (0, 3, 149, 10**6):
+            assert eval_closed(cf, (a,)) == math.comb(a + 149, 149), a
+        assert eval_closed(cf, (-1,)) == 0
+
+    def test_single_term_matches_reference(self):
+        [term] = toric_reduce(self.X).sum.terms
+        assert inverse_laplace_term(term) == reference_inverse(term)
+
+
 class TestSupportMembership:
     def test_scalar_even_lattice(self):
         assert support_membership([(2,)], (-4,), (0,))
