@@ -5,14 +5,17 @@ vector per line of whitespace-separated integers ('#' comments allowed),
 read as strict UTF-8 from a positional file or standard input.  reduce
 prints toric.listing; verify and bench print one cross_check report.  Exit
 codes: 0 success, 2 invalid input or usage, 3 verification failure,
-4 broken internal invariant (a bug), 5 a size budget or Python's
-recursion limit exceeded, 141 output pipe closed by its reader.  JSON is
-written compact, without indentation, so CPython's C encoder writes it.
+4 broken internal invariant (a bug), 5 a size budget, the spot check's
+floating-point range or Python's recursion limit exceeded, 141 output
+pipe closed by its reader.  JSON is written compact, without
+indentation, so CPython's C encoder writes it.  main pauses the cyclic
+garbage collector while a command runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -328,8 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="exit codes: 0 success, 2 invalid input or usage, 3 verification "
                "failure, 4 broken internal invariant (a bug; please report it), "
                "5 valid input too large: a term, memo or node budget exceeded, "
+               "an inversion table that could pass the term budget, "
                "a verify box of more points than the memo budget, "
                "a coordinate past the packed-shift bound, "
+               "a spot check past the floating-point range, "
                "or a walk deeper than Python's recursion limit; "
                "141 output pipe closed by its reader")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -381,6 +386,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # a command keeps most of what it builds until it ends, so each pass of
+    # the cyclic collector would walk the same objects again, for nothing
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         status = args.func(args)
         sys.stdout.flush()
@@ -403,6 +412,9 @@ def main(argv=None) -> int:
         print("error: budget exceeded: the walk goes deeper than Python's recursion "
               f"limit of {sys.getrecursionlimit():,} frames", file=sys.stderr)
         return 5
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

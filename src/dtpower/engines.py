@@ -9,7 +9,8 @@ t_X(alpha) = t_{X minus a}(alpha) + t_X(alpha - a), walked along the line
 alpha, alpha - a, ... with every point memoised and bounded by the same
 certificate, and evaluation of the toric closed form.  cross_check holds
 each engine's nonzero counts over a box as one dict and compares the three
-dicts whole.
+dicts whole; the recursion's dict is one DMContext.count per box point,
+all in one context.
 """
 
 from __future__ import annotations
@@ -185,26 +186,6 @@ class DMContext:
         if u < 0:
             return 0
         return self._count(alpha, u, len(self.X))
-
-    def count_box(self, lo: Vec, hi: Vec) -> dict[Vec, int]:
-        """The nonzero counts of the box's points, in box order: count at
-        each point of each line along the last coordinate whose pairing
-        <xs, alpha> is not negative (linalg.int_range clips the line to
-        them); no other point is visited, as count returns 0 there first."""
-        lo, hi = tuple(lo), tuple(hi)
-        s = len(self.xs)
-        if len(lo) != s or len(hi) != s:
-            raise ValueError(f"box corners {lo} and {hi} do not have dimension {s}")
-        x_last = self.xs[-1]
-        out = {}
-        for head in product(*[range(l, h + 1) for l, h in zip(lo[:-1], hi[:-1])]):
-            u = sum(map(mul, self.xs, head)) + x_last * lo[-1]
-            # u + x_last * t >= 0 for t in 0 .. hi_s - lo_s
-            for t in int_range([(-x_last, u)], 0, hi[-1] - lo[-1]):
-                alpha = (*head, lo[-1] + t)
-                if n := self._count(alpha, u + x_last * t, len(self.X)):
-                    out[alpha] = n
-        return out
 
     def _count(self, alpha: Vec, u: int, k: int) -> int:
         """t_k(alpha) for k >= base_len, given u = <xs, alpha> >= 0."""

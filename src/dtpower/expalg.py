@@ -22,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import InvariantError
+from .errors import BudgetError, InvariantError
 from .linalg import Vec, is_zero, pointedness_certificate, scale, vadd
 
 SINGULAR_TOL = 1e-12
@@ -130,7 +130,8 @@ def geometric_factor(a: Vec, m: int) -> ExpRatSum:
 def eval_numeric(expr, x) -> float:
     """Floating evaluation at the real point x of a term, an ExpRatSum or a
     grouped sum; raises SingularPoint when a denominator pairing vanishes
-    within tolerance.
+    within tolerance, and BudgetError when a denominator factor
+    (1 - e^{-<v,x>})^h underflows to 0.
 
     A grouped sum is {denominator: {shift: coeff}}, as ReducedForm.grouped
     holds it.  Each denominator's product is evaluated once and divides the
@@ -151,8 +152,15 @@ def _divided(val: float, denom, x) -> float:
         p = dot_f(v, x)
         if abs(p) < SINGULAR_TOL:
             raise SingularPoint(f"pairing with {v} vanishes at {x}")
-        val /= (1.0 - math.exp(-p)) ** h
+        factor = (1.0 - math.exp(-p)) ** h
+        if not factor:
+            raise _out_of_range(f"(1 - e^(-<{v}, x>))^{h} underflows to 0", x)
+        val /= factor
     return val
+
+
+def _out_of_range(what: str, x) -> BudgetError:
+    return BudgetError(f"the spot check leaves its floating-point range at {x}: {what}")
 
 
 def dot_f(v, x) -> float:
@@ -189,8 +197,13 @@ def spot_check(got, want, X, seed: int = 0) -> None:
     """Raise InvariantError unless got and want agree, to relative
     IDENTITY_RTOL, at the five points random_generic_point(X, seed + k),
     placed in one pass.  Each is a term, an ExpRatSum or a grouped sum,
-    ReducedForm.grouped (see eval_numeric)."""
+    ReducedForm.grouped (see eval_numeric).
+
+    BudgetError where floats give out: a denominator factor underflows to
+    0, or a side is not finite, where inf - inf would be nan and pass."""
     for x in _generic_points(X, range(seed, seed + 5)):
         g, w = eval_numeric(got, x), eval_numeric(want, x)
+        if not (math.isfinite(g) and math.isfinite(w)):
+            raise _out_of_range(f"the sides are {g} and {w}", x)
         if abs(g - w) > IDENTITY_RTOL * (1 + abs(w)):
             raise InvariantError(f"generating-function identity fails at {x}: {g} vs {w}")

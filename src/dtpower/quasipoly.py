@@ -76,10 +76,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import groupby, product
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add, itemgetter, mul
 
-from .errors import InvariantError
+from . import toric
+from .errors import BudgetError, InvariantError
 from .expalg import ExpRatTerm
 from .linalg import (Vec, cone_count, dot, int_range, orth_complement, scale, square_solver,
                      vadd, vsub)
@@ -244,23 +245,35 @@ def _inversion_data(denom) -> tuple:
     The expansion keeps each monomial's exponents of alpha_1 .. alpha_s,
     t_1 .. t_s packed as one int (toric._pack), multiplies by
     toric._accumulate and unpacks each monomial once, into the table.
+
+    The size is bounded before any product: factor i is a polynomial of
+    degree h_i - 1 in t_i and the z_i coordinates of alpha where w_i is
+    not 0, so it has at most C(h_i + z_i, z_i + 1) monomials, and the table
+    at most their product, exactly that for a power of one vector in
+    dimension 1.  Past toric.TERM_BUDGET, read at each call, BudgetError.
     """
     basis = tuple(v for v, _ in denom)
     s = len(basis[0]) if basis else 0
+    ws, size = [], 1
+    for i, (_, h) in enumerate(denom):
+        w = orth_complement(basis, i)
+        ws.append(w)
+        z = s - w.count(0)
+        size *= comb(h + z, z + 1)
+    if size > (budget := toric.TERM_BUDGET):
+        raise BudgetError(f"the inversion's table of up to {size:,} monomials would pass "
+                          f"the budget of {budget:,} terms")
     # exponents of the expansion, packed: alpha_1 .. alpha_s, then t_1 .. t_s
     unit = [_pack(tuple(int(k == i) for k in range(2 * s))) for i in range(2 * s)]
-    ws = []
     poly = {0: 1}
     divisor = 1
     lift = (0,) * s
-    for i, (v, h) in enumerate(denom):
-        w = orth_complement(basis, i)
+    for i, ((v, h), w) in enumerate(zip(denom, ws)):
         pair = dot(w, v)
         linear = [(e, x) for e, x in zip(unit, w) if x] + [(unit[s + i], 1)]
         for j in range(1, h):
             poly, num = {}, poly
             _accumulate(poly, num, linear + [(0, j * pair)])
-        ws.append(w)
         divisor *= factorial(h - 1) * pair ** (h - 1)
         lift = vadd(lift, scale(v, h - 1))
     table: dict[Vec, list] = {}

@@ -30,16 +30,17 @@ every prefix of the fold).  The number of terms depends on the fold order
 by orders of magnitude, so toric_reduce chooses its order by a bounded
 greedy search (choose_fold), within a term budget.
 
-The search abandons a candidate step before it multiplies what it would
-throw away.  Over Z a sum of finite sets has |A + B| >= |A| + |B| - 1,
-and packed shifts are plain ints, so num * factor puts at least
+The search abandons most candidate steps before they multiply anything.
+Over Z a sum of finite sets has |A + B| >= |A| + |B| - 1, and packed
+shifts are plain ints, so num * factor puts at least
 len(num) + len(factor) - 1 keys into its target.  The cap counts keys
 before zeros are dropped, so a step's key count only grows; a step whose
-bound passes the cap would pass it once multiplied, too.  The bound
-therefore changes no decision, only when a step is abandoned.  A
-partial-fraction group is multiplied by its geometric factor beta only
-when a step reaches it, and a lower bound on that product's length
-(_product_floor) lets a step abandon before building it.
+one pre-product bound, summed over its targets, passes the cap would pass
+it once multiplied, too.  The bound therefore changes no decision, only
+when a step is abandoned.  A partial-fraction group is multiplied by its
+geometric factor beta only when a step reaches it, and a lower bound on
+that product's length (_product_floor) enters the pre-product bound
+without building it.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from itertools import combinations
 
 from .errors import BudgetError, InvariantError
 from .expalg import DenomFactor, ExpMonomial, ExpRatSum, ExpRatTerm
-from .linalg import (IntegerRelation, Vec, check_system, column_solver,
+from .linalg import (IntegerRelation, Vec, check_system, column_solver, cone_count,
                      integer_relation, is_zero, scale, vadd)
 
 Factor = tuple[Vec, int]            # (vector, power): (1 - e^{-<vector,x>})^power
@@ -291,18 +292,16 @@ def fold_step(acc: Grouped, a: Vec, cap: float = math.inf) -> Grouped | None:
     (shift, denominator) keys, zero coefficients included.  acc is left
     unchanged.
 
-    The step abandons before it multiplies.  A numerator num multiplied
-    into a group's numerator factor leaves its target at least
+    The step mostly abandons before it multiplies.  A numerator num
+    multiplied into a group's numerator factor leaves its target at least
     len(num) + len(factor) - 1 keys (the sumset bound over Z), and keys are
-    never removed before the end, so the key count only grows.  Two lower
-    bounds on the final count are checked: first, before any product and
-    as each denominator's groups are looked up, the sum over targets of the
-    largest such bound, each factor's length bounded by its
-    _product_floor; then, before each product, the keys so far plus that
-    product's least number of new keys.  The count itself is
-    checked after each product.  So the step returns None exactly when its
-    finished key count passes cap, as when only that was checked, and
-    mostly before the products that would pass it.
+    never removed before the end, so the key count only grows.  One lower
+    bound on the final count is checked before any product, as each
+    denominator's groups are looked up: the sum over targets of the largest
+    such bound, each factor's length bounded by its _product_floor.  The
+    count itself is checked after each product.  So the step returns None
+    exactly when its finished key count passes cap, as when only that was
+    checked, and mostly before any product.
     """
     steps = []
     floors: dict[Denom, int] = {}
@@ -323,8 +322,6 @@ def fold_step(acc: Grouped, a: Vec, cap: float = math.inf) -> Grouped | None:
         target = out.setdefault(d, {})
         n = len(target)
         factor = ((0, 1),) if key is None else _absorbed_group(*key)
-        if size + max(len(num) + len(factor) - 1 - n, 0) > cap:
-            return None
         _accumulate(target, num, factor)
         size += len(target) - n
         if size > cap:
@@ -423,8 +420,9 @@ def assert_reduced_invariants(rf: ReducedForm) -> None:
         power = sum(p for _, p in denom)
         if power != n:
             raise InvariantError(f"power conservation broken: {power} != {n}")
+        # the basis is independent, so v != 0 and a cone point n*a of (a,) has n >= 1
         for v in vecs:
-            if not _positive_multiple_of_some(v, X):
+            if not any(cone_count(column_solver((a,)), v) for a in X):
                 raise InvariantError(f"{v} is not a positive multiple of a source vector")
 
 
@@ -495,14 +493,3 @@ def _to_sum(grouped: Reduced) -> ExpRatSum:
     """The ExpRatSum of an unpacked grouped sum, in listing order."""
     factors = {d: tuple(DenomFactor(v, p) for v, p in d) for d in grouped}
     return ExpRatSum(tuple(ExpRatTerm(ExpMonomial(q, c), factors[d]) for c, d, q in listing(grouped)))
-
-
-def _positive_multiple_of_some(v: Vec, X) -> bool:
-    for a in X:
-        k = next((c for c in a if c != 0))
-        i = a.index(k)
-        if v[i] % k == 0:
-            n = v[i] // k
-            if n >= 1 and v == scale(a, n):
-                return True
-    return False

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -314,6 +315,43 @@ class TestUsage:
         assert err.startswith("error: budget exceeded: ") and "relation coefficient" in err
         assert time.perf_counter() - start < 5.0
 
+    def test_inversion_past_the_term_budget_exits_5(self, tmp_path, capsys):
+        # 1,000 copies of 1: one term of power 1,000, whose inversion table
+        # has up to C(1001, 2) = 500,500 monomials; expanding it took minutes
+        start = time.perf_counter()
+        code, out, err = run(["count", "--point", "3"], "1\n" * 1000, tmp_path, capsys)
+        assert code == 5 and out == ""
+        assert err.startswith("error: budget exceeded: ")
+        assert f"500,500 monomials would pass the budget of {toric.TERM_BUDGET:,} terms" in err
+        assert time.perf_counter() - start < 5.0
+
+    def test_spot_check_past_the_float_range_exits_5(self):
+        # (1 - e^{-x})^1600 underflows to 0 at the spot check's points
+        done = run_stdin(["verify", "--box=0:3"], b"1\n" * 1600)
+        assert done.returncode == 5 and done.stdout == b""
+        assert done.stderr.startswith(b"error: budget exceeded: the spot check leaves its floating-point range")
+        assert b"Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("args,text,code", [
+        (["count", "--point", "0,4"], EX2_TEXT, 0),
+        (["count", "--point", "0"], EX2_TEXT, 2),
+        (["count", "--point", "3"], "1\n" * 1000, 5),
+    ], ids=["exit0", "exit2", "exit5"])
+    def test_collector_paused_then_restored(self, collecting, args, text, code,
+                                            tmp_path, capsys, monkeypatch):
+        seen = []
+        read = cli._read_vectors
+        monkeypatch.setattr(cli, "_read_vectors", lambda a: seen.append(gc.isenabled()) or read(a))
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            got = run(args, text, tmp_path, capsys)[0]
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert (got, seen, after) == (code, [False], collecting)
+
     @pytest.mark.parametrize("command", ["verify", "bench"])
     def test_box_past_the_memo_budget_exits_5(self, command, tmp_path, capsys):
         # 100,001^2 points: listing them alone would run out of memory
@@ -342,6 +380,8 @@ class TestUsage:
         assert "exit codes" in out and "4 broken internal invariant" in out
         assert "5 valid input too large" in out
         assert "a term, memo or node budget exceeded" in out
+        assert "an inversion table that could pass the term budget" in out
+        assert "a spot check past the floating-point range" in out
         assert "a verify box of more points than the memo budget" in out
         assert "a coordinate past the packed-shift bound" in out
         assert "a walk deeper than Python's recursion limit" in out

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import D59, pinned_inputs, random_pointed_systems
 from dtpower import expalg
-from dtpower.errors import InvariantError
+from dtpower.errors import BudgetError, InvariantError
 from dtpower.expalg import (DenomFactor, SingularPoint, add, eval_numeric,
                             geometric_factor, laplace_generating, make_sum,
                             make_term, monomial, mul, random_generic_point,
@@ -164,6 +164,16 @@ class TestSpotCheck:
         # e^{-12x}/(1-e^{-2x}) too many: about 4e-6 relative near x = 1
         with pytest.raises(InvariantError, match="identity fails"):
             spot_check(self.split(12), self.WANT, self.X)
+
+    @pytest.mark.parametrize("n", [1500, 1600])
+    def test_past_the_float_range_raises(self, n):
+        # 1 / (1 - e^{-x})^n at x near 1: at 1,500 copies both sides are
+        # inf, where inf - inf is nan and would pass the tolerance test; at
+        # 1,600 the denominator underflows to 0
+        X = [(1,)] * n
+        got = {(((1,), n),): {(0,): 1}}
+        with pytest.raises(BudgetError, match="spot check leaves its floating-point range"):
+            spot_check(got, laplace_generating(X), X)
 
     def test_five_points_from_one_certificate(self, monkeypatch):
         X = [(1, 0), (0, 1), (-1, 2)]

@@ -15,7 +15,7 @@ from conftest import D59, EX1, EX2, STRESS_B, pinned_inputs, random_pointed_syst
 from dtpower import quasipoly, toric
 from dtpower.cli import closed_form_from_json, closed_form_to_json
 from dtpower.engines import box_points, brute_force_count
-from dtpower.errors import InvariantError
+from dtpower.errors import BudgetError, InvariantError
 from dtpower.expalg import DenomFactor, make_term
 from dtpower.linalg import column_solver, dot, pointedness_certificate, rank, solve_square, vsub
 from dtpower.quasipoly import (ClosedForm, ConePiece, MultiPoly, closed_form,
@@ -144,6 +144,29 @@ class TestHighPower:
     def test_single_term_matches_reference(self):
         [term] = toric_reduce(self.X).sum.terms
         assert inverse_laplace_term(term) == reference_inverse(term)
+
+
+class TestInversionBudget:
+    """_inversion_data bounds its table before any product: on n copies of
+    (1,), C(n + 1, 2) monomials, against toric.TERM_BUDGET read at the
+    call.  A cached denominator skips the check, so the cache is cleared."""
+
+    X = ((1,),) * 20
+
+    def test_past_the_budget_raises_before_any_product(self, monkeypatch):
+        monkeypatch.setattr(toric, "TERM_BUDGET", 100)
+        monkeypatch.setattr(quasipoly, "_accumulate", lambda *args: pytest.fail("product built"))
+        quasipoly._inversion_data.cache_clear()
+        with pytest.raises(BudgetError, match="up to 210 monomials would pass the budget of 100 terms"):
+            closed_form(self.X)
+
+    def test_bound_at_the_budget_is_admitted(self, monkeypatch):
+        monkeypatch.setattr(toric, "TERM_BUDGET", 210)
+        quasipoly._inversion_data.cache_clear()
+        try:
+            assert eval_closed(closed_form(self.X), (3,)) == math.comb(22, 19)
+        finally:
+            quasipoly._inversion_data.cache_clear()
 
 
 class TestSupportMembership:

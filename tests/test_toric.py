@@ -428,12 +428,22 @@ class TestReducedInvariants:
         ([DenomFactor((1, 0), 1), DenomFactor((2, 0), 2)], "dependent"),
         ([DenomFactor((1, 0), 1), DenomFactor((0, 1), 1)], "power conservation"),
         ([DenomFactor((1, 1), 2), DenomFactor((0, 1), 1)], "positive multiple"),
+        # (1, -2) is -1 times (-1, 2)
+        ([DenomFactor((1, 0), 2), DenomFactor((1, -2), 1)], "positive multiple"),
     ])
     def test_corrupted_form_raises(self, factors, message):
         source = ((1, 0), (0, 1), (-1, 2))
         assert_reduced_invariants(toric_reduce(source))
         bad = ReducedForm(source, {tuple((f.vector, f.power) for f in factors): {0: 1}})
         with pytest.raises(InvariantError, match=message):
+            assert_reduced_invariants(bad)
+
+    def test_fractional_multiple_raises(self):
+        # (1, 0) is 1/2 times (2, 0)
+        source = ((2, 0), (0, 1))
+        assert_reduced_invariants(toric_reduce(source))
+        bad = ReducedForm(source, {(((1, 0), 1), ((0, 1), 1)): {0: 1}})
+        with pytest.raises(InvariantError, match="positive multiple"):
             assert_reduced_invariants(bad)
 
     def test_is_an_assertion_error(self):
