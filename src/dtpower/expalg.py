@@ -200,10 +200,13 @@ def spot_check(got, want, X, seed: int = 0) -> None:
     ReducedForm.grouped (see eval_numeric).
 
     BudgetError where floats give out: a denominator factor underflows to
-    0, or a side is not finite, where inf - inf would be nan and pass."""
+    0, or want, the defining side, is not finite.  Where want is finite and
+    got is inf or nan, the identity fails: the test is written so that a
+    nan difference fails it too."""
     for x in _generic_points(X, range(seed, seed + 5)):
-        g, w = eval_numeric(got, x), eval_numeric(want, x)
-        if not (math.isfinite(g) and math.isfinite(w)):
-            raise _out_of_range(f"the sides are {g} and {w}", x)
-        if abs(g - w) > IDENTITY_RTOL * (1 + abs(w)):
+        w = eval_numeric(want, x)
+        if not math.isfinite(w):
+            raise _out_of_range(f"the defining side is {w}", x)
+        g = eval_numeric(got, x)
+        if not abs(g - w) <= IDENTITY_RTOL * (1 + abs(w)):
             raise InvariantError(f"generating-function identity fails at {x}: {g} vs {w}")

@@ -246,11 +246,15 @@ def _inversion_data(denom) -> tuple:
     t_1 .. t_s packed as one int (toric._pack), multiplies by
     toric._accumulate and unpacks each monomial once, into the table.
 
-    The size is bounded before any product: factor i is a polynomial of
-    degree h_i - 1 in t_i and the z_i coordinates of alpha where w_i is
-    not 0, so it has at most C(h_i + z_i, z_i + 1) monomials, and the table
-    at most their product, exactly that for a power of one vector in
-    dimension 1.  Past toric.TERM_BUDGET, read at each call, BudgetError.
+    The size is bounded before any product, by the smaller of two bounds.
+    Factor i is a polynomial of degree h_i - 1 in t_i and the z_i
+    coordinates of alpha where w_i is not 0, so it has at most
+    C(h_i + z_i, z_i + 1) monomials, and the table at most their product.
+    The whole table has total degree D = sum_i (h_i - 1) in 2s variables,
+    so at most C(D + 2s, 2s) monomials; where the factors share alpha's
+    coordinates, in dimension 2 and up, that one can be far smaller.  Both
+    are exact on a power of one vector in dimension 1.  Past
+    toric.TERM_BUDGET, read at each call, BudgetError.
     """
     basis = tuple(v for v, _ in denom)
     s = len(basis[0]) if basis else 0
@@ -260,6 +264,7 @@ def _inversion_data(denom) -> tuple:
         ws.append(w)
         z = s - w.count(0)
         size *= comb(h + z, z + 1)
+    size = min(size, comb(sum(h - 1 for _, h in denom) + 2 * s, 2 * s))
     if size > (budget := toric.TERM_BUDGET):
         raise BudgetError(f"the inversion's table of up to {size:,} monomials would pass "
                           f"the budget of {budget:,} terms")

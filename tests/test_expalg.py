@@ -175,6 +175,17 @@ class TestSpotCheck:
         with pytest.raises(BudgetError, match="spot check leaves its floating-point range"):
             spot_check(got, laplace_generating(X), X)
 
+    @pytest.mark.parametrize("got", [
+        {(((1,), 1500),): {(0,): 10**30}},
+        {(((1,), 1500),): {(0,): 10**30}, (((1,), 1501),): {(0,): -10**30}},
+    ], ids=["inf", "nan"])
+    def test_non_finite_reduced_side_fails_the_identity(self, got):
+        # the defining side 1 / (1 - e^{-x}) is finite near x = 1, the
+        # reduced side is inf, or inf - inf = nan: a failed identity, not a
+        # float range
+        with pytest.raises(InvariantError, match="identity fails"):
+            spot_check(got, self.WANT, self.X)
+
     def test_five_points_from_one_certificate(self, monkeypatch):
         X = [(1, 0), (0, 1), (-1, 2)]
         want = [random_generic_point(X, 4 + k) for k in range(5)]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import D59, EX1, EX2, STRESS_B, pinned_inputs, random_pointed_systems
 from dtpower import quasipoly, toric
 from dtpower.cli import closed_form_from_json, closed_form_to_json
-from dtpower.engines import box_points, brute_force_count
+from dtpower.engines import box_points, brute_force_count, dm_count
 from dtpower.errors import BudgetError, InvariantError
 from dtpower.expalg import DenomFactor, make_term
 from dtpower.linalg import column_solver, dot, pointedness_certificate, rank, solve_square, vsub
@@ -152,6 +152,11 @@ class TestInversionBudget:
     call.  A cached denominator skips the check, so the cache is cleared."""
 
     X = ((1,),) * 20
+    # one denominator each, powers 15, 15 and 5, 5, 5: the product bound
+    # is 462,400 and 343,000, past the default budget; the joint bound
+    # C(D + 2s, 2s) is 35,960 and 18,564, over tables of 31,186 and 12,708
+    SHARED = {"2-D": [(2, 1)] * 15 + [(1, 2)] * 15,
+              "3-D": [(1, 1, 0), (0, 1, 1), (1, 0, 1)] * 5}
 
     def test_past_the_budget_raises_before_any_product(self, monkeypatch):
         monkeypatch.setattr(toric, "TERM_BUDGET", 100)
@@ -165,6 +170,27 @@ class TestInversionBudget:
         quasipoly._inversion_data.cache_clear()
         try:
             assert eval_closed(closed_form(self.X), (3,)) == math.comb(22, 19)
+        finally:
+            quasipoly._inversion_data.cache_clear()
+
+    @pytest.mark.parametrize("name", SHARED)
+    def test_shared_coordinates_are_admitted(self, name):
+        X = self.SHARED[name]
+        quasipoly._inversion_data.cache_clear()
+        cf = closed_form(X)
+        s = len(X[0])
+        for alpha in box_points((0,) * s, (4,) * s):
+            assert eval_closed(cf, alpha) == dm_count(X, alpha), alpha
+
+    def test_joint_bound_is_the_one_checked(self, monkeypatch):
+        X = self.SHARED["2-D"]
+        monkeypatch.setattr(toric, "TERM_BUDGET", 35_959)
+        quasipoly._inversion_data.cache_clear()
+        try:
+            with pytest.raises(BudgetError, match="up to 35,960 monomials"):
+                closed_form(X)
+            monkeypatch.setattr(toric, "TERM_BUDGET", 35_960)
+            assert eval_closed(closed_form(X), (3, 3)) == dm_count(X, (3, 3))
         finally:
             quasipoly._inversion_data.cache_clear()
 
