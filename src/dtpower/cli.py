@@ -5,11 +5,10 @@ vector per line of whitespace-separated integers ('#' comments allowed),
 read as strict UTF-8 from a positional file or standard input.  reduce
 prints toric.listing; verify and bench print one cross_check report.  Exit
 codes: 0 success, 2 invalid input or usage, 3 verification failure,
-4 broken internal invariant (a bug), 5 a size budget, the spot check's
-floating-point range or Python's recursion limit exceeded, 141 output
-pipe closed by its reader.  JSON is written compact, without
-indentation, so CPython's C encoder writes it.  main pauses the cyclic
-garbage collector while a command runs.
+4 broken internal invariant (a bug), 5 a size budget or Python's
+recursion limit exceeded, 141 output pipe closed by its reader.  JSON is
+written compact, without indentation, so CPython's C encoder writes it.
+main pauses the cyclic garbage collector while a command runs.
 """
 
 from __future__ import annotations
@@ -334,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
                "an inversion table that could pass the term budget, "
                "a verify box of more points than the memo budget, "
                "a coordinate past the packed-shift bound, "
-               "a spot check past the floating-point range, "
                "or a walk deeper than Python's recursion limit; "
                "141 output pipe closed by its reader")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -368,14 +366,16 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.set_defaults(func=cmd_render, build=build, renders=renders)
 
+    box_help = ("per-coordinate range lo:hi; the default holds 19^s points, past the "
+                "memo budget from dimension 5 on")
     p = sub.add_parser("verify", help="cross-check all engines on a box")
-    p.add_argument("--box", default="-6:12", help="per-coordinate range lo:hi")
+    p.add_argument("--box", default="-6:12", help=box_help)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_check, report=print_verify)
 
     p = sub.add_parser("bench", help="time all engines on a box")
-    p.add_argument("--box", default="-6:12", help="per-coordinate range lo:hi")
+    p.add_argument("--box", default="-6:12", help=box_help)
     common(p)
     p.set_defaults(func=cmd_check, report=print_bench, seed=0)
     return ap

@@ -234,7 +234,7 @@ def cross_check(X, lo: Vec, hi: Vec, seed: int = 0) -> CountReport:
     closed), a missing point counting 0.
 
     Also spot-checks the reduced generating function against the original
-    product at five seeded generic points before counting, from
+    product, exactly in F_p at five seeded points, before counting, from
     ReducedForm.grouped as it is; the closed form reads that same
     reduction, unpacked once by toric_reduce, which validates X.  A box of
     more than MEMO_BUDGET points, one memo entry each, raises BudgetError.

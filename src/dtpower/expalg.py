@@ -5,32 +5,35 @@ integer, c an integer vector and the a nonzero integer vectors.  Sums of
 such terms are kept normalized: denominators sorted, duplicate vectors
 merged by adding powers, terms merged on the (shift, denominator) key.
 
-All algebra is exact; numeric evaluation exists only to spot-check
-identities and never feeds results.
+All algebra is exact, the identity check too: eval_numeric evaluates an
+expression in F_p, p = MODULUS, at a point z, reading e^{<c,x>} as z^c, and
+spot_check compares two expressions there at seeded points; neither feeds
+results.
 
 The reduction builds its numerators as packed Laurents (see toric), so the
 sum algebra here, make_sum, add, mul, monomial and geometric_factor, is off
 the build path: it is the reference the tests check the reduction against.
 The build uses the term types, make_term (through laplace_generating) and
-the numeric spot check, each point one seeded draw around linalg's
-memoised pointedness certificate.
+the spot check.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 import random
 from dataclasses import dataclass
+from itertools import count
+from math import prod
+from operator import getitem, neg
 
-from .errors import BudgetError, InvariantError
-from .linalg import Vec, is_zero, pointedness_certificate, scale, vadd
+from .errors import InvariantError
+from .linalg import Vec, is_zero, scale, vadd
 
-SINGULAR_TOL = 1e-12
-IDENTITY_RTOL = 1e-9
+MODULUS = 2**61 - 1  # a Mersenne prime: the identity check works in F_p
 
 
 class SingularPoint(Exception):
-    """Raised when a numeric evaluation point annihilates a denominator factor.
+    """Raised when an evaluation point annihilates a denominator factor.
 
     Retryable: pick another point.
     """
@@ -127,86 +130,81 @@ def geometric_factor(a: Vec, m: int) -> ExpRatSum:
     return make_sum([make_term(1, scale(a, -j)) for j in range(m)])
 
 
-def eval_numeric(expr, x) -> float:
-    """Floating evaluation at the real point x of a term, an ExpRatSum or a
-    grouped sum; raises SingularPoint when a denominator pairing vanishes
-    within tolerance, and BudgetError when a denominator factor
-    (1 - e^{-<v,x>})^h underflows to 0.
-
-    A grouped sum is {denominator: {shift: coeff}}, as ReducedForm.grouped
-    holds it.  Each denominator's product is evaluated once and divides the
-    sum of its numerators q * e^{<c,x>}.
+def eval_numeric(expr, z) -> int:
+    """The value mod p = MODULUS of a term, an ExpRatSum or a grouped sum
+    {denominator: {shift: coeff}}, as ReducedForm.grouped holds it, at z in
+    (F_p^*)^s, reading e^{<c,x>} as z^c; SingularPoint when a denominator
+    factor 1 - z^{-v} is 0 mod p.  The sum is kept as one fraction, so the
+    evaluation takes one modular inverse, and none when the value is 0.
     """
-    if isinstance(expr, ExpRatSum):
-        return sum(eval_numeric(t, x) for t in expr.terms)
-    if isinstance(expr, ExpRatTerm):
-        return _divided(float(expr.num.coeff) * math.exp(dot_f(expr.num.shift, x)),
-                        [(f.vector, f.power) for f in expr.denom], x)
-    return sum(_divided(sum(q * math.exp(dot_f(c, x)) for c, q in num.items()), denom, x)
-               for denom, num in expr.items())
+    p = MODULUS
+    tables = [_Powers(zi) for zi in z]
+    num, den = 0, 1
+    for denom, terms in (expr if isinstance(expr, dict) else _grouped(expr)).items():
+        d = 1
+        for v, h in denom:
+            f = (1 - prod(map(getitem, tables, map(neg, v)))) % p
+            if not f:
+                raise SingularPoint(f"1 - z^(-{v}) vanishes at {z}")
+            d = d * pow(f, h, p) % p
+        columns = (map(t.__getitem__, col) for t, col in zip(tables, zip(*terms)))
+        n = sum(map(operator.mul, terms.values(), map(prod, zip(*columns))))
+        num, den = (num * d + n * den) % p, den * d % p
+    return num * pow(den, -1, p) % p if num else 0
 
 
-def _divided(val: float, denom, x) -> float:
-    """val / prod (1 - e^{-<v,x>})^h over the (v, h) of denom."""
-    for v, h in denom:
-        p = dot_f(v, x)
-        if abs(p) < SINGULAR_TOL:
-            raise SingularPoint(f"pairing with {v} vanishes at {x}")
-        factor = (1.0 - math.exp(-p)) ** h
-        if not factor:
-            raise _out_of_range(f"(1 - e^(-<{v}, x>))^{h} underflows to 0", x)
-        val /= factor
-    return val
+class _Powers(dict):
+    """z^e mod MODULUS by exponent e, each computed on first use."""
+
+    def __init__(self, z: int):
+        super().__init__()
+        self.z, self.inverse = z, pow(z, -1, MODULUS)
+
+    def __missing__(self, e: int) -> int:
+        value = self[e] = pow(self.z if e >= 0 else self.inverse, abs(e), MODULUS)
+        return value
 
 
-def _out_of_range(what: str, x) -> BudgetError:
-    return BudgetError(f"the spot check leaves its floating-point range at {x}: {what}")
+def _grouped(expr, sign: int = 1, out=None) -> dict:
+    """sign * expr, a term, an ExpRatSum or a grouped sum, added into the
+    grouped sum out, a new one by default."""
+    out = {} if out is None else out
+    if isinstance(expr, dict):
+        terms = ((d, c, q) for d, num in expr.items() for c, q in num.items())
+    else:
+        terms = ((tuple((f.vector, f.power) for f in t.denom), t.num.shift, t.num.coeff)
+                 for t in ((expr,) if isinstance(expr, ExpRatTerm) else expr.terms))
+    for d, c, q in terms:
+        num = out.setdefault(d, {})
+        num[c] = num.get(c, 0) + sign * q
+    return out
 
 
-def dot_f(v, x) -> float:
-    return sum(float(c) * float(xc) for c, xc in zip(v, x))
-
-
-def random_generic_point(vectors, seed) -> tuple[float, ...]:
-    """Deterministic point x with <a,x> >= 0.1 for every listed vector.
-
-    The pointedness certificate xi scaled by t = max(0.15, min(1, 4 /
-    max<xi,a>)), plus one seeded perturbation moving each pairing by at
-    most 0.05*t: as <xi,a> >= 1, every pairing lies in
-    [0.95*t, 1.05*t*max<xi,a>], at least 0.1425.
-    """
-    return _generic_points(vectors, [seed])[0]
-
-
-def _generic_points(vectors, seeds) -> list[tuple[float, ...]]:
-    """random_generic_point(vectors, seed) for each seed, all from one
-    pointedness certificate of vectors: one draw per seed."""
-    vectors = [tuple(v) for v in vectors]
-    cert = pointedness_certificate(vectors)
-    if cert is None:
-        raise ValueError("system is not pointed; no generic point available")
-    xi = [float(c) for c in cert.xi]
-    big = max(float(cert.pairing(a)) for a in vectors)
-    t = max(0.15, min(1.0, 4.0 / big))
-    eps = 0.05 * t / max(sum(abs(c) for c in a) for a in vectors)
-    return [tuple(t * c + rng.uniform(-eps, eps) for c in xi)
-            for rng in map(random.Random, seeds)]
+def random_generic_point(vectors, seed) -> tuple[int, ...]:
+    """A seeded point of (F_p^*)^s, p = MODULUS, s the vectors' dimension:
+    each coordinate drawn from [2, p - 1]."""
+    rng = random.Random(seed)
+    return tuple(rng.randrange(2, MODULUS) for _ in vectors[0])
 
 
 def spot_check(got, want, X, seed: int = 0) -> None:
-    """Raise InvariantError unless got and want agree, to relative
-    IDENTITY_RTOL, at the five points random_generic_point(X, seed + k),
-    placed in one pass.  Each is a term, an ExpRatSum or a grouped sum,
-    ReducedForm.grouped (see eval_numeric).
-
-    BudgetError where floats give out: a denominator factor underflows to
-    0, or want, the defining side, is not finite.  Where want is finite and
-    got is inf or nan, the identity fails: the test is written so that a
-    nan difference fails it too."""
-    for x in _generic_points(X, range(seed, seed + 5)):
-        w = eval_numeric(want, x)
-        if not math.isfinite(w):
-            raise _out_of_range(f"the defining side is {w}", x)
-        g = eval_numeric(got, x)
-        if not abs(g - w) <= IDENTITY_RTOL * (1 + abs(w)):
-            raise InvariantError(f"generating-function identity fails at {x}: {g} vs {w}")
+    """Raise InvariantError unless got - want is 0 mod MODULUS at five
+    points random_generic_point(X, k), k = seed, seed + 1, ..., skipping
+    each point where a denominator factor vanishes.  Each side is a term,
+    an ExpRatSum or a grouped sum; by Schwartz and Zippel, a false identity
+    passes a point with probability at most the degree of its cleared
+    difference over p."""
+    diff = _grouped(want, -1, _grouped(got))
+    checked = 0
+    for k in count(seed):
+        z = random_generic_point(X, k)
+        try:
+            value = eval_numeric(diff, z)
+        except SingularPoint:
+            continue
+        if value:
+            raise InvariantError(f"generating-function identity fails at {z}: "
+                                 f"got - want is {value} mod {MODULUS}")
+        checked += 1
+        if checked == 5:
+            return

@@ -325,12 +325,22 @@ class TestUsage:
         assert f"500,500 monomials would pass the budget of {toric.TERM_BUDGET:,} terms" in err
         assert time.perf_counter() - start < 5.0
 
-    def test_spot_check_past_the_float_range_exits_5(self):
-        # (1 - e^{-x})^1600 underflows to 0 at the spot check's points
+    def test_verify_on_1600_copies_exits_5_at_the_recursion_limit(self):
+        # the exact spot check passes 1 / (1 - e^{-x})^1600; the brute walk,
+        # one frame per vector, then passes Python's recursion limit
         done = run_stdin(["verify", "--box=0:3"], b"1\n" * 1600)
         assert done.returncode == 5 and done.stdout == b""
-        assert done.stderr.startswith(b"error: budget exceeded: the spot check leaves its floating-point range")
+        assert done.stderr.startswith(b"error: budget exceeded: the walk goes deeper than "
+                                      b"Python's recursion limit")
         assert b"Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("command", ["verify", "bench"])
+    def test_default_box_in_dimension_5_exits_5(self, command, tmp_path, capsys):
+        # the default box, -6:12 per coordinate, holds 19^5 points
+        text = "".join(" ".join("1" if i == j else "0" for j in range(5)) + "\n" for i in range(5))
+        code, out, err = run([command], text, tmp_path, capsys)
+        assert code == 5 and out == ""
+        assert err.startswith("error: budget exceeded: the box holds 2,476,099 points")
 
     @pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
     @pytest.mark.parametrize("args,text,code", [
@@ -381,7 +391,6 @@ class TestUsage:
         assert "5 valid input too large" in out
         assert "a term, memo or node budget exceeded" in out
         assert "an inversion table that could pass the term budget" in out
-        assert "a spot check past the floating-point range" in out
         assert "a verify box of more points than the memo budget" in out
         assert "a coordinate past the packed-shift bound" in out
         assert "a walk deeper than Python's recursion limit" in out

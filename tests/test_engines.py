@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import (EX1, EX2, STRESS_A, STRESS_B, pinned_inputs, pointed_systems,
                       random_pointed_systems)
-from dtpower import engines, expalg, linalg, toric
+from dtpower import engines, linalg, toric
 from dtpower.engines import (DMContext, brute_force_box, brute_force_count,
                              cross_check, dm_count, independent_count)
 from dtpower.errors import BudgetError, InvariantError
-from dtpower.expalg import IDENTITY_RTOL, eval_numeric, laplace_generating, spot_check
+from dtpower.expalg import eval_numeric, laplace_generating, random_generic_point, spot_check
 from dtpower.linalg import column_solver, pointedness_certificate, rank, solve_columns
 from dtpower.quasipoly import closed_form, support_membership
 from dtpower.toric import ReducedForm, toric_reduce
@@ -426,13 +426,13 @@ class TestCrossCheck:
         assert len(calls) == 1
 
     def test_one_elimination_per_cross_check(self):
-        # toric_reduce's validation eliminates X; the spot check's five
-        # points, the brute enumeration and the recursion reuse its certificate
+        # toric_reduce's validation eliminates X; the brute enumeration and
+        # the recursion reuse its certificate, and the spot check needs none
         for X in (EX1, EX2, STRESS_A, STRESS_B):
             linalg._fourier_motzkin.cache_clear()
             assert cross_check(X, (0,) * len(X[0]), (2,) * len(X[0])).ok
             info = linalg._fourier_motzkin.cache_info()
-            assert (info.misses, info.hits) == (1, 3), X
+            assert (info.misses, info.hits) == (1, 2), X
 
     def test_box_past_the_memo_budget_raises_before_reducing(self, monkeypatch):
         # a box of 3 x 3 points reaches the reduction under a budget of 9
@@ -469,19 +469,18 @@ def with_unit_term(grouped):
 
 class TestGroupedSpotCheck:
     """cross_check spot-checks the reduction grouped by denominator
-    (ReducedForm.grouped as it is): each denominator's product once, times
-    the sum of its numerators."""
+    (ReducedForm.grouped as it is), exactly in F_p."""
 
     def test_grouped_matches_term_by_term(self):
         for label, X in pinned_inputs():
             rf = toric_reduce(X)
-            for x in expalg._generic_points(X, range(5)):
-                got, want = eval_numeric(rf.grouped, x), eval_numeric(rf.sum, x)
-                assert abs(got - want) <= IDENTITY_RTOL * (1 + abs(want)), label
+            for seed in range(5):
+                z = random_generic_point(X, seed)
+                assert eval_numeric(rf.grouped, z) == eval_numeric(rf.sum, z), label
 
     @pytest.mark.parametrize("X", [EX1, EX2, STRESS_A, STRESS_B])
     def test_corrupted_grouped_sum_raises(self, X):
-        # the unit term adds at least 1, where the tolerance allows under 1e-4
+        # the unit term adds 1 / (its denominator's product), not 0 mod p
         grouped = with_unit_term(toric_reduce(X).grouped)
         with pytest.raises(InvariantError, match="identity fails"):
             spot_check(grouped, laplace_generating(X), X, 0)

@@ -1,22 +1,16 @@
-import hashlib
-import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import D59, pinned_inputs, random_pointed_systems
+from conftest import D59
 from dtpower import expalg
-from dtpower.errors import BudgetError, InvariantError
-from dtpower.expalg import (DenomFactor, SingularPoint, add, eval_numeric,
+from dtpower.errors import InvariantError
+from dtpower.expalg import (MODULUS, DenomFactor, SingularPoint, add, eval_numeric,
                             geometric_factor, laplace_generating, make_sum,
                             make_term, monomial, mul, random_generic_point,
                             spot_check)
-
-RTOL = 1e-9
-
-
-def close(a, b):
-    return abs(a - b) <= RTOL * (1 + abs(b))
+from dtpower.toric import listing, toric_reduce
 
 
 class TestLaplaceGenerating:
@@ -67,8 +61,8 @@ class TestAlgebra:
         lhs = mul(a, add(b, c))
         rhs = add(mul(a, b), mul(a, c))
         for k in range(5):
-            x = random_generic_point(vs, seed=k)
-            assert close(eval_numeric(lhs, x), eval_numeric(rhs, x))
+            z = random_generic_point(vs, seed=k)
+            assert eval_numeric(lhs, z) == eval_numeric(rhs, z)
 
 
 class TestGeometricFactor:
@@ -89,62 +83,61 @@ class TestGeometricFactor:
         big = add(monomial(1, (0, 0)), monomial(-1, (-m, -m)))      # 1 - e^{-<ma,x>}
         small = add(monomial(1, (0, 0)), monomial(-1, (-1, -1)))    # 1 - e^{-<a,x>}
         for k in range(5):
-            x = random_generic_point([a], seed=10 * m + k)
-            assert abs(eval_numeric(big, x)
-                       - eval_numeric(beta, x) * eval_numeric(small, x)) <= 1e-9
+            z = random_generic_point([a], seed=10 * m + k)
+            assert eval_numeric(big, z) == eval_numeric(beta, z) * eval_numeric(small, z) % MODULUS
 
 
 class TestEvalNumeric:
+    # values mod MODULUS at z = 2, where e^{-x} reads 1/2
     def test_geometric_pole(self):
         t = make_term(1, (0,), [DenomFactor((1,), 1)])
-        assert close(eval_numeric(t, (math.log(2),)), 2.0)
+        assert eval_numeric(t, (2,)) == 2
 
     def test_plain_exponential(self):
-        assert close(eval_numeric(monomial(1, (-1,)), (0.0,)), 1.0)
+        assert eval_numeric(monomial(1, (-1,)), (2,)) == (MODULUS + 1) // 2
 
     def test_scalar_generating_value(self):
+        # 1 / ((1 - 1/2)^2 (1 - 1/4)) = 16/3
         t = laplace_generating([(1,), (1,), (2,)])
-        assert close(eval_numeric(t, (math.log(2),)), 16.0 / 3.0)
+        assert eval_numeric(t, (2,)) == 16 * pow(3, -1, MODULUS) % MODULUS
 
     def test_singular_point_refused(self):
+        # z^(1, -1) = 5 / 5 = 1
         t = make_term(1, (0, 0), [DenomFactor((1, -1), 1)])
         with pytest.raises(SingularPoint):
-            eval_numeric(t, (0.7, 0.7))
+            eval_numeric(t, (5, 5))
 
 
 class TestGenericPoint:
     def test_scalar(self):
-        x = random_generic_point([(1,)], seed=0)
-        assert 0.1 <= x[0] <= 5
-
-    def test_planar_constraints(self):
-        vs = [(1, 0), (0, 1), (-1, 2)]
-        for seed in range(5):
-            x = random_generic_point(vs, seed=seed)
-            assert x[0] >= 0.1 and x[1] >= 0.1
-            assert -x[0] + 2 * x[1] >= 0.1 - 1e-12
+        points = [random_generic_point([(1,)], seed) for seed in range(20)]
+        assert all(len(z) == 1 and 2 <= z[0] <= MODULUS - 1 for z in points)
 
     def test_deterministic(self):
         vs = [(2, 1), (1, 3)]
         assert random_generic_point(vs, seed=7) == random_generic_point(vs, seed=7)
 
-    def test_unpointed_rejected(self):
-        with pytest.raises(ValueError):
-            random_generic_point([(1,), (-1,)], seed=0)
 
-    def test_one_draw_pairs_at_least_a_tenth(self):
-        # the pinned inputs, D59 and three systems whose certificates pair
-        # up to 31, 31 and 62 with a vector, so t is at its floor 0.15 and
-        # the last one's points pair past 5; the digest pins the points
-        wide = random_pointed_systems(count=200, seed=7, det_cap=60)
-        systems = [X for _, X in pinned_inputs()] + [D59] + [wide[i] for i in (14, 157, 176)]
-        points = [[random_generic_point(X, seed) for seed in range(8)] for X in systems]
-        for X, xs in zip(systems, points):
-            for x in xs:
-                assert min(expalg.dot_f(a, x) for a in X) >= 0.1
-        assert max(expalg.dot_f(a, x) for a in systems[-1] for x in points[-1]) > 5
-        assert hashlib.sha256(repr(points).encode()).hexdigest() == (
-            "7c21deb6185b8623bc78ef17f7ee0da879a1527f3e3e6db4f2221ac8071f859c")
+def mutated(grouped, kind, rng):
+    """A copy of a grouped sum with one term, drawn by rng from its listing,
+    changed: its coefficient off by 1, the term dropped, or the power of its
+    denominator's first factor raised by 1."""
+    terms = listing(grouped)
+    c, d, q = terms[rng.randrange(len(terms))]
+    out = {e: dict(num) for e, num in grouped.items()}
+    del out[d][c]
+    if kind == "coefficient":
+        out[d][c] = q + 1
+    elif kind == "power":
+        (v, h), *rest = d
+        num = out.setdefault(((v, h + 1), *rest), {})
+        num[c] = num.get(c, 0) + q
+    return out
+
+
+@pytest.fixture(scope="module")
+def d59_reduction():
+    return toric_reduce(D59).grouped
 
 
 class TestSpotCheck:
@@ -161,41 +154,49 @@ class TestSpotCheck:
         spot_check(self.split(), self.WANT, self.X, seed=3)
 
     def test_mismatch_raises(self):
-        # e^{-12x}/(1-e^{-2x}) too many: about 4e-6 relative near x = 1
+        # e^{-12x}/(1-e^{-2x}) too many
         with pytest.raises(InvariantError, match="identity fails"):
             spot_check(self.split(12), self.WANT, self.X)
 
-    @pytest.mark.parametrize("n", [1500, 1600])
-    def test_past_the_float_range_raises(self, n):
-        # 1 / (1 - e^{-x})^n at x near 1: at 1,500 copies both sides are
-        # inf, where inf - inf is nan and would pass the tolerance test; at
-        # 1,600 the denominator underflows to 0
-        X = [(1,)] * n
-        got = {(((1,), n),): {(0,): 1}}
-        with pytest.raises(BudgetError, match="spot check leaves its floating-point range"):
-            spot_check(got, laplace_generating(X), X)
+    def test_one_term_reduction_of_1600_copies_passes(self):
+        # 1 / (1 - e^{-x})^1600, the reduction of 1,600 copies of (1,)
+        X = [(1,)] * 1600
+        got = {(((1,), 1600),): {(0,): 1}}
+        assert toric_reduce(X).grouped == got
+        spot_check(got, laplace_generating(X), X)
 
     @pytest.mark.parametrize("got", [
         {(((1,), 1500),): {(0,): 10**30}},
         {(((1,), 1500),): {(0,): 10**30}, (((1,), 1501),): {(0,): -10**30}},
     ], ids=["inf", "nan"])
     def test_non_finite_reduced_side_fails_the_identity(self, got):
-        # the defining side 1 / (1 - e^{-x}) is finite near x = 1, the
-        # reduced side is inf, or inf - inf = nan: a failed identity, not a
-        # float range
+        # a reduced side far too large against 1 / (1 - e^{-x}), or two
+        # such terms that nearly cancel: a failed identity like any other
         with pytest.raises(InvariantError, match="identity fails"):
             spot_check(got, self.WANT, self.X)
 
-    def test_five_points_from_one_certificate(self, monkeypatch):
-        X = [(1, 0), (0, 1), (-1, 2)]
-        want = [random_generic_point(X, 4 + k) for k in range(5)]
-        gen = make_sum([laplace_generating(X)])
-        seen, certs = [], []
-        evaluate, certify = expalg.eval_numeric, expalg.pointedness_certificate
+    def test_singular_point_skipped(self, monkeypatch):
+        # (5, 5) annihilates 1 - z^{-(1, -1)}; the check draws one point
+        # more and still checks five
+        X = [(1, 0), (0, 1), (1, -1)]
+        gen = laplace_generating(X)
+        draw, evaluate = expalg.random_generic_point, expalg.eval_numeric
+        seeds, checked = [], []
+        monkeypatch.setattr(expalg, "random_generic_point",
+                            lambda vs, k: seeds.append(k) or ((5, 5) if k == 4 else draw(vs, k)))
         monkeypatch.setattr(expalg, "eval_numeric",
-                            lambda e, x: seen.append(x) or evaluate(e, x))
-        monkeypatch.setattr(expalg, "pointedness_certificate",
-                            lambda vs: certs.append(vs) or certify(vs))
-        spot_check(gen, gen, X, seed=4)
-        assert list(dict.fromkeys(seen)) == want
-        assert len(certs) == 1
+                            lambda e, z: checked.append(z) or evaluate(e, z))
+        spot_check(gen, gen, X, seed=3)
+        assert seeds == [3, 4, 5, 6, 7, 8]
+        assert len(checked) == 6 and checked[1] == (5, 5)
+        with pytest.raises(SingularPoint):
+            evaluate(gen, (5, 5))
+
+    @pytest.mark.parametrize("kind", ["coefficient", "dropped", "power"])
+    def test_one_term_mutation_of_d59_raises(self, kind, d59_reduction):
+        # D59's 78,399 terms, one of them changed; the term is drawn by
+        # Random(0), and a relative 1e-9 comparison of floats at five real
+        # points passed each of these three
+        got = mutated(d59_reduction, kind, random.Random(0))
+        with pytest.raises(InvariantError, match="identity fails"):
+            spot_check(got, laplace_generating(D59), D59)
